@@ -9,8 +9,8 @@ from .gf2 import (BinMatrix, BinVector, dot, inverse, is_unitary, mat_mul,
                   mat_vec, rank, select_basis)
 from .frames import (Frame, FrameOperators, compute_dual, format_frame,
                      frame_operators, grammian, is_frame, is_parseval,
-                     parse_frame, parseval_by_sweep, parseval_identity_holds,
-                     shift_matrix, verify_reconstruction, weight_two_family)
+                     parse_frame, parseval_identity_holds, shift_matrix,
+                     verify_reconstruction, weight_two_family)
 from .equivalence import (CanonicalKey, DimensionTooSmallError,
                           NotParsevalError, RepeatsPresentError,
                           ShapeMismatchError, canonical_key, complement,
@@ -27,7 +27,7 @@ __all__ = [
     "mat_vec", "rank", "select_basis",
     "Frame", "FrameOperators", "compute_dual", "format_frame",
     "frame_operators", "grammian", "is_frame", "is_parseval", "parse_frame",
-    "parseval_by_sweep", "parseval_identity_holds", "shift_matrix",
+    "parseval_identity_holds", "shift_matrix",
     "verify_reconstruction", "weight_two_family",
     "CanonicalKey", "DimensionTooSmallError", "NotParsevalError",
     "RepeatsPresentError", "ShapeMismatchError", "canonical_key",

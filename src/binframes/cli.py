@@ -3,12 +3,13 @@
 Frames are passed inline as quoted literals in the `n; v1,...,vk` grammar;
 catalog output streams to stdout or, with --out, to a file. Exit codes:
 0 success, 1 negative verdict (not a frame, not spanning, not equivalent),
-2 usage or parse error.
+2 usage or parse error, 141 stdout closed by its reader (broken pipe).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -18,7 +19,7 @@ from .equivalence import (canonical_key, complement, is_trivially_redundant,
 from .frames import (Frame, compute_dual, format_frame, grammian, is_frame,
                      is_parseval, parse_frame, parseval_identity_holds,
                      shift_matrix, weight_two_family)
-from .gf2 import BinMatrix, is_unitary, rank
+from .gf2 import BinMatrix, BinVector, dot, is_unitary, mat_vec, rank
 
 
 def _emit(lines: list[str], out: Optional[str]) -> None:
@@ -61,7 +62,7 @@ def _cmd_dual(args) -> int:
     if duals is None:
         print("NOT-SPANNING")
         return 1
-    print(format_frame(Frame(frame.dim, duals)))
+    print(format_frame(Frame.from_encodings(frame.dim, [d.bits for d in duals])))
     return 0
 
 
@@ -123,17 +124,9 @@ def _cmd_counterexample(args) -> int:
         A = shift_matrix(args.n)
         for line in _matrix_lines(A):
             print(line)
-        n = args.n
         # (Ax, Ax) = (x, x) for all x, checked directly
-        ok = True
-        for x in range(1 << n):
-            ax = 0
-            for i, row in enumerate(A.row_bits):
-                if (row & x).bit_count() & 1:
-                    ax |= 1 << i
-            if ax.bit_count() & 1 != x.bit_count() & 1:
-                ok = False
-                break
+        xs = (BinVector(args.n, x) for x in range(1 << args.n))
+        ok = all(dot(ax := mat_vec(A, x), ax) == dot(x, x) for x in xs)
         print(f"isometry: {'yes' if ok else 'no'}")
         print(f"rank: {rank(A)}")
         print(f"unitary: {'yes' if is_unitary(A) else 'no'}")
@@ -207,7 +200,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (`| head`): let the final flush go to devnull, and
+        # exit as a shell reports a process ended by SIGPIPE (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

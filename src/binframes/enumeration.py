@@ -10,12 +10,13 @@ both routes must agree, and the tests hold them to that.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .equivalence import CanonicalKey, _min_lex_form
-from .frames import Frame
+from .equivalence import CanonicalKey, canonical_key
+from .frames import Frame, grammian
 
 
 @dataclass(frozen=True)
@@ -149,6 +150,11 @@ def _subtree_task(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
     return _search(n, k, first)
 
 
+def _pool_size(workers: int, tasks: int, cpus: int) -> int:
+    """Processes to start; a fork pool starts all of them at once."""
+    return min(workers, tasks, cpus)
+
+
 def _iter_encodings(n: int, k: int, workers: int = 1) -> Iterator[tuple[int, ...]]:
     """Stream Parseval k-subsets in lexicographic order.
 
@@ -162,7 +168,10 @@ def _iter_encodings(n: int, k: int, workers: int = 1) -> Iterator[tuple[int, ...
         yield from _search(n, k)
         return
     tasks = [(n, k, first) for first in range(1, full - k + 2)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    size = _pool_size(workers, len(tasks), cpus)
+    with ProcessPoolExecutor(max_workers=size) as pool:
         for chunk in pool.map(_subtree_task, tasks, chunksize=4):
             yield from chunk
 
@@ -178,28 +187,12 @@ def enumerate_parseval(n: int, k: int, *, workers: int = 1) -> Iterator[Frame]:
         yield Frame.from_encodings(n, encs)
 
 
-def _gram_rows(encs: Sequence[int]) -> tuple[int, ...]:
-    k = len(encs)
-    rows = [0] * k
-    for i in range(k):
-        ei = encs[i]
-        for j in range(i, k):
-            if (ei & encs[j]).bit_count() & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return tuple(rows)
-
-
-def _key_of(encs: Sequence[int]) -> CanonicalKey:
-    bits, _ = _min_lex_form(_gram_rows(encs))
-    return CanonicalKey.from_bits(len(encs), bits)
-
-
 def _classify_members(n: int, k: int,
                       workers: int = 1) -> dict[CanonicalKey, list[tuple[int, ...]]]:
     groups: dict[CanonicalKey, list[tuple[int, ...]]] = {}
     for encs in _iter_encodings(n, k, workers):
-        groups.setdefault(_key_of(encs), []).append(encs)
+        key = canonical_key(grammian(Frame.from_encodings(n, encs)))
+        groups.setdefault(key, []).append(encs)
     return groups
 
 
@@ -234,8 +227,9 @@ def _complemented_classes(n: int, k_small: int, workers: int) -> list[SwitchingC
     groups: dict[CanonicalKey, list[tuple[int, ...]]] = {}
     for members in _classify_members(n, k_small, workers).values():
         comp = [tuple(sorted(nonzero - set(m))) for m in members]
-        key = _key_of(min(comp))
-        assert key not in groups  # complementation maps classes bijectively
+        key = canonical_key(grammian(Frame.from_encodings(n, min(comp))))
+        if key in groups:
+            raise RuntimeError(f"complements of two classes share key {key}")
         groups[key] = comp
     return _to_classes(n, groups)
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BinMatrix, BinVector, is_unitary, mat_mul, mat_vec
-from .frames import Frame, frame_operators, grammian, is_parseval
+from .gf2 import BinMatrix, is_unitary, mat_mul, mat_vec
+from .frames import Frame, grammian, is_parseval
 
 
 class ShapeMismatchError(ValueError):
@@ -57,7 +57,8 @@ class CanonicalKey:
 
     @classmethod
     def from_bits(cls, size: int, bits: tuple[int, ...]) -> "CanonicalKey":
-        assert len(bits) == size * (size + 1) // 2
+        if len(bits) != size * (size + 1) // 2:
+            raise RuntimeError(f"{len(bits)} bits for a key of size {size}")
         out = bytearray((len(bits) + 7) // 8)
         for t, b in enumerate(bits):
             if b:
@@ -129,7 +130,8 @@ def _min_lex_form(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
             fixed.pop()
 
     dfs([], [list(range(k))], [])
-    assert best is not None
+    if best is None:
+        raise RuntimeError("canonical form search visited no leaf")
     return tuple(best), best_perm
 
 
@@ -152,6 +154,19 @@ def _require_comparable(F: Frame, H: Frame) -> None:
             "the Grammian criterion is only proven for Parseval frames")
 
 
+def _unitary_witness(F: Frame, H: Frame) -> BinMatrix:
+    """U = synthesis(H) * analysis(F), checked unitary with U f_i = h_i.
+
+    Callers pass Parseval frames with equal Grammians, for which U is such
+    a witness; a failed check is a fault here, not a negative verdict.
+    """
+    U = mat_mul(H.analysis_matrix().transpose(), F.analysis_matrix())
+    if not is_unitary(U) or any(
+            mat_vec(U, f) != h for f, h in zip(F.vectors, H.vectors)):
+        raise RuntimeError("unitary witness failed its check")
+    return U
+
+
 def unitary_equivalent(F: Frame, H: Frame) -> BinMatrix | None:
     """Unitary U with U f_i = h_i for all i, or None.
 
@@ -161,10 +176,7 @@ def unitary_equivalent(F: Frame, H: Frame) -> BinMatrix | None:
     _require_comparable(F, H)
     if grammian(F).row_bits != grammian(H).row_bits:
         return None
-    U = mat_mul(frame_operators(H).synthesis, F.analysis_matrix())
-    assert is_unitary(U)
-    assert all(mat_vec(U, f) == h for f, h in zip(F.vectors, H.vectors))
-    return U
+    return _unitary_witness(F, H)
 
 
 def switching_equivalent(F: Frame, H: Frame) -> tuple[BinMatrix, tuple[int, ...]] | None:
@@ -180,16 +192,10 @@ def switching_equivalent(F: Frame, H: Frame) -> tuple[BinMatrix, tuple[int, ...]
     bits_h, perm_h = _min_lex_form(grammian(H).row_bits)
     if bits_f != bits_h:
         return None
-    k = F.size
-    inv_f = [0] * k
-    for pos, idx in enumerate(perm_f):
-        inv_f[idx] = pos
-    pi = tuple(perm_h[inv_f[j]] for j in range(k))
-    permuted = Frame(H.dim, tuple(H.vectors[pi[j]] for j in range(k)))
-    U = unitary_equivalent(permuted, F)
-    assert U is not None  # Grammians agree by construction of pi
-    assert all(mat_vec(U, H.vectors[pi[j]]) == F.vectors[j] for j in range(k))
-    return U, pi
+    # pi[perm_f[i]] = perm_h[i]: both index row i of the common canonical form
+    pi = tuple(h for _, h in sorted(zip(perm_f, perm_h)))
+    permuted = Frame(H.dim, tuple(H.encodings[p] for p in pi))
+    return _unitary_witness(permuted, F), pi
 
 
 def complement(frame: Frame, drop_zero: bool = False) -> Frame:

@@ -12,35 +12,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .gf2 import BinMatrix, BinVector, dot, inverse, mat_mul, rank, select_basis
+from .gf2 import BinMatrix, BinVector, inverse, mat_mul, rank, select_basis
 
 
 @dataclass(frozen=True)
 class Frame:
-    """Ordered finite family of vectors in Z_2^n; order is significant."""
+    """Ordered finite family of vectors in Z_2^n; order is significant.
+
+    Stores the integer encodings; `vectors` derives the BinVectors."""
 
     dim: int
-    vectors: tuple[BinVector, ...]
+    encodings: tuple[int, ...]
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
-        for v in self.vectors:
-            if v.dim != self.dim:
-                raise ValueError(
-                    f"vector of dimension {v.dim} in frame over Z_2^{self.dim}")
+        limit = 1 << self.dim
+        for e in self.encodings:
+            if not 0 <= e < limit:
+                raise ValueError(f"encoding {e} out of range for Z_2^{self.dim}")
 
     @classmethod
     def from_encodings(cls, dim: int, encodings: Sequence[int]) -> "Frame":
-        return cls(dim, tuple(BinVector(dim, e) for e in encodings))
+        return cls(dim, tuple(encodings))
 
     @property
     def size(self) -> int:
-        return len(self.vectors)
+        return len(self.encodings)
 
     @property
-    def encodings(self) -> tuple[int, ...]:
-        return tuple(v.bits for v in self.vectors)
+    def vectors(self) -> tuple[BinVector, ...]:
+        return tuple(BinVector(self.dim, e) for e in self.encodings)
 
     def analysis_matrix(self) -> BinMatrix:
         """The k x n matrix with the frame vectors as rows."""
@@ -69,15 +71,11 @@ def parse_frame(text: str) -> Frame:
         encodings = [int(p.strip()) for p in tail.split(",")]
     except ValueError:
         raise ValueError(f"bad vector list in frame literal {text!r}") from None
-    limit = 1 << dim
-    for e in encodings:
-        if not 0 <= e < limit:
-            raise ValueError(f"encoding {e} out of range for Z_2^{dim}")
     return Frame.from_encodings(dim, encodings)
 
 
 def format_frame(frame: Frame) -> str:
-    if not frame.vectors:
+    if not frame.encodings:
         return f"{frame.dim};"
     return f"{frame.dim}; " + ",".join(str(e) for e in frame.encodings)
 
@@ -115,28 +113,11 @@ def is_frame(frame: Frame) -> bool:
 
 
 def is_parseval(frame: Frame) -> bool:
-    """True iff the frame operator S equals the identity.
-
-    The matrix route costs O(k n^2) words; the equivalent reconstruction
-    sweep over all 2^n vectors is kept in parseval_by_sweep as an
-    independent check.
-    """
-    ops = frame_operators(frame)
-    return ops.frame_op.row_bits == BinMatrix.identity(frame.dim).row_bits
-
-
-def parseval_by_sweep(frame: Frame) -> bool:
-    """Check x = sum((x, f_j) f_j) directly for every x in Z_2^n."""
-    n = frame.dim
-    encs = frame.encodings
-    for x in range(1 << n):
-        acc = 0
-        for e in encs:
-            if (x & e).bit_count() & 1:
-                acc ^= e
-        if acc != x:
-            return False
-    return True
+    """True iff the frame operator S = synthesis * analysis equals the
+    identity; the matrix route costs O(k n^2) words."""
+    theta = frame.analysis_matrix()
+    S = mat_mul(theta.transpose(), theta)
+    return S.row_bits == BinMatrix.identity(frame.dim).row_bits
 
 
 def compute_dual(frame: Frame) -> Optional[tuple[BinVector, ...]]:
@@ -151,16 +132,17 @@ def compute_dual(frame: Frame) -> Optional[tuple[BinVector, ...]]:
     basis_idx = select_basis(list(frame.vectors), n)
     if basis_idx is None:
         return None
-    sub = BinMatrix(n, n, tuple(frame.vectors[i - 1].bits for i in basis_idx))
+    sub = BinMatrix(n, n, tuple(frame.encodings[i - 1] for i in basis_idx))
     inv = inverse(sub)
-    assert inv is not None  # select_basis returned an independent subset
+    if inv is None:
+        raise RuntimeError("basis submatrix of a spanning family is singular")
     inv_t = inv.transpose()
     duals = [BinVector(n, 0)] * frame.size
     for col, i in enumerate(basis_idx):
         duals[i - 1] = inv_t.row(col)
-    out = tuple(duals)
-    assert verify_reconstruction(frame, list(out))
-    return out
+    if not verify_reconstruction(frame, duals):
+        raise RuntimeError("constructed duals fail to reconstruct")
+    return tuple(duals)
 
 
 def verify_reconstruction(frame: Frame, duals: Sequence[BinVector]) -> bool:

@@ -87,6 +87,18 @@ def is_parseval_naive(encs, n):
     return frame_S_naive(encs, n) == identity_naive(n)
 
 
+def parseval_by_sweep(encs, n):
+    """Check x = sum((x, f_j) f_j) directly for every x in Z_2^n."""
+    for x in range(1 << n):
+        acc = 0
+        for e in encs:
+            if (x & e).bit_count() & 1:
+                acc ^= e
+        if acc != x:
+            return False
+    return True
+
+
 def parseval_subsets_bruteforce(n, k):
     """Test every k-subset of the nonzero vectors; no pruning anywhere.
 

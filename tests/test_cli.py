@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 from binframes.cli import run
 
 
@@ -166,3 +170,19 @@ def test_cli_matches_library_verdicts(capsys):
         assert (run(["equiv", a, b, "--mode", "switching"]) == 0) == (
             switching_equivalent(F, H) is not None)
         capsys.readouterr()
+
+
+def test_closed_stdout_exits_141_without_traceback(package_env):
+    # the reader has exited before anything is written, as `head` does
+    # once it has its lines
+    for argv in (["catalog", "3"], ["enumerate", "4", "5"]):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "binframes.cli", *argv], stdout=w,
+                stderr=subprocess.PIPE, text=True, env=package_env, timeout=60)
+        finally:
+            os.close(w)
+        assert proc.returncode == 141, proc.stderr
+        assert proc.stderr == ""

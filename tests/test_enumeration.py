@@ -3,8 +3,8 @@ import os
 import pytest
 
 from binframes.enumeration import (CatalogRow, SearchConfig, SwitchingClass,
-                                   catalog, catalog_lines, classify,
-                                   enumerate_parseval, write_catalog)
+                                   _pool_size, catalog, catalog_lines,
+                                   classify, enumerate_parseval, write_catalog)
 from binframes.equivalence import (canonical_key, complement,
                                    is_trivially_redundant,
                                    switching_equivalent)
@@ -67,6 +67,15 @@ def test_worker_partitioning_is_transparent():
         seq = [f.encodings for f in enumerate_parseval(n, k)]
         par = [f.encodings for f in enumerate_parseval(n, k, workers=2)]
         assert seq == par
+
+
+def test_pool_size_is_clamped_to_tasks_and_cpus():
+    # (workers, tasks, cpus) -> processes started; checked without a pool
+    assert _pool_size(2, 28, 2) == 2
+    assert _pool_size(10**6, 28, 2) == 2
+    assert _pool_size(10**6, 3, 64) == 3
+    assert _pool_size(4, 3, 1) == 1
+    assert _pool_size(8, 28, 64) == 8
 
 
 def test_classify_examples():

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from itertools import permutations
 
 import pytest
@@ -370,7 +372,7 @@ def test_complement_preserves_switching_equivalence():
 
 
 def test_returned_witnesses_always_verified():
-    # the operations assert their own contracts; spot-check the surface
+    # the operations check their own contracts; spot-check the surface
     F = fr(4, 1, 2, 4, 8)
     H = fr(4, 2, 1, 4, 8)
     U = unitary_equivalent(F, H)
@@ -379,3 +381,40 @@ def test_returned_witnesses_always_verified():
     assert out is not None
     W, pi = out
     assert sorted(pi) == list(range(4))
+
+
+# Each internal check in the package is forced to fail under python -O,
+# which strips assert statements; every one must still raise.
+OPTIMIZED_CHECKS = """
+import binframes as bf
+import binframes.enumeration as en
+import binframes.equivalence as eq
+import binframes.frames as fm
+
+def raises(fn):
+    try:
+        fn()
+    except RuntimeError:
+        return True
+    return False
+
+F = bf.parse_frame("3; 3,5,6,7")
+results = [raises(lambda: bf.CanonicalKey.from_bits(2, (1,)))]
+real_is_unitary = eq.is_unitary
+eq.is_unitary = lambda U: False
+results += [raises(lambda: bf.unitary_equivalent(F, F)),
+            raises(lambda: bf.switching_equivalent(F, F))]
+eq.is_unitary = real_is_unitary
+fm.verify_reconstruction = lambda frame, duals: False
+results.append(raises(lambda: bf.compute_dual(F)))
+en._classify_members = lambda n, k, workers: {"a": [(1, 2, 4)], "b": [(1, 2, 4)]}
+results.append(raises(lambda: en._complemented_classes(3, 3, 1)))
+print(results)
+"""
+
+
+def test_internal_checks_raise_under_optimize(package_env):
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+                          capture_output=True, text=True, env=package_env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[True, True, True, True, True]"

@@ -2,15 +2,17 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binframes.frames import (Frame, compute_dual, format_frame,
                               frame_operators, grammian, is_frame,
-                              is_parseval, parse_frame, parseval_by_sweep,
+                              is_parseval, parse_frame,
                               parseval_identity_holds, shift_matrix,
                               verify_reconstruction, weight_two_family)
 from binframes.gf2 import BinMatrix, BinVector, mat_mul, rank
 
-from oracles import (is_parseval_naive, rank_naive, reconstruction_sweep_naive,
+from oracles import (frame_G_naive, frame_S_naive, is_parseval_naive,
+                     parseval_by_sweep, rank_naive, reconstruction_sweep_naive,
                      vec_of)
 
 
@@ -53,12 +55,12 @@ def test_parseval_matrix_route_agrees_with_sweep():
         for k in range(0, 5):
             for encs in product(range(1 << n), repeat=k):
                 f = fr(n, *encs)
-                assert is_parseval(f) == parseval_by_sweep(f)
+                assert is_parseval(f) == parseval_by_sweep(f.encodings, n)
     for _ in range(300):
         n = rng.randint(1, 4)
         k = rng.randint(0, 6)
         f = fr(n, *(rng.randrange(1 << n) for _ in range(k)))
-        assert is_parseval(f) == parseval_by_sweep(f)
+        assert is_parseval(f) == parseval_by_sweep(f.encodings, n)
 
 
 def test_frame_operators_shapes_and_entries():
@@ -224,6 +226,32 @@ def test_grammian_vs_naive_oracle():
         f = fr(n, *encs)
         assert is_parseval(f) == is_parseval_naive(encs, n)
         assert is_frame(f) == (rank_naive([vec_of(e, n) for e in encs]) == n)
+
+
+@st.composite
+def large_families(draw):
+    """(n, encodings) with n <= 8 and up to 30 vectors. Half are Parseval
+    by construction: a basis plus vectors that occur in pairs, whose
+    rank-one contributions to S cancel."""
+    n = draw(st.integers(1, 8))
+    vec = st.integers(0, (1 << n) - 1)
+    if draw(st.booleans()):
+        return n, draw(st.lists(vec, max_size=30))
+    pairs = draw(st.lists(vec, max_size=(30 - n) // 2))
+    return n, draw(st.permutations([1 << i for i in range(n)] + pairs + pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(large_families())
+def test_kernels_match_naive_oracles_up_to_k30(family):
+    n, encs = family
+    f = Frame.from_encodings(n, encs)
+    assert grammian(f).to_lists() == frame_G_naive(encs, n)
+    assert is_parseval(f) == is_parseval_naive(encs, n)
+    assert frame_operators(f).frame_op.to_lists() == frame_S_naive(encs, n)
+    with pytest.raises(ValueError,
+                       match=rf"^encoding {1 << n} out of range for Z_2\^{n}$"):
+        Frame(n, (1 << n,))
 
 
 def test_empty_family_is_degenerate_not_an_error():
