@@ -115,6 +115,9 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    if args.n > 16:
+        raise ValueError(
+            f"counterexample sweeps all 2^n vectors; need n <= 16, got {args.n}")
     if args.kind == "weight2":
         fam = weight_two_family(args.n)
         print(format_frame(fam))

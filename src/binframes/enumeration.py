@@ -10,6 +10,8 @@ both routes must agree, and the tests hold them to that.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -43,96 +45,91 @@ class CatalogRow:
 class SearchConfig:
     """Search knobs: k range bounds, complement shortcut, worker count.
 
-    allow_large unlocks catalog rows whose underlying search size exceeds
-    8 vectors at n >= 5; the full n=5 catalog takes hours single-threaded
-    and should not start by accident.
+    Every row is searched up to n = 5; at n = 6 a catalog, like any
+    search, stops at subsets of 9 vectors (see _check_search).
     """
 
     k_min: Optional[int] = None
     k_max: Optional[int] = None
     use_complement_shortcut: bool = True
     workers: int = 1
-    allow_large: bool = False
 
 
-def _outer_masks(n: int) -> tuple[list[int], int, int]:
-    """Per-vector rank-one contributions to S, packed n*n bits per word.
+# The last TAIL vectors of a subset come from one table lookup. At n = 5 the
+# 3-subset table holds 4,495 subsets (1.1 MB); 4-subsets would be 31,465 (6 MB).
+TAIL = 3
 
-    S of a subset is the XOR of the masks of its members, so the Parseval
-    test is a handful of word operations per subset.
+
+@functools.lru_cache(maxsize=None)
+def _tables(n: int) -> tuple[list[int], int, list[int], list[dict]]:
+    """Search tables for Z_2^n, built once per process and shared: read only.
+
+    masks[v] is the rank-one contribution of v to S, packed n*n bits per
+    word, so S of a subset is the XOR of its members' masks; ident is the
+    packed identity. cover[w] is the OR of masks[w:], the bits that the
+    vectors from w on can still flip. tails[t] maps the packed S of every
+    t-subset of the nonzero vectors to those subsets, in lex order.
     """
     full = (1 << n) - 1
-    masks = [0] * (full + 1)
-    for v in range(1, full + 1):
-        m = 0
-        for i in range(n):
-            if (v >> i) & 1:
-                m |= v << (i * n)
-        masks[v] = m
-    ident = 0
-    for i in range(n):
-        ident |= 1 << (i * n + i)
-    return masks, ident, full
+    masks = [sum(v << (i * n) for i in range(n) if (v >> i) & 1)
+             for v in range(full + 1)]
+    ident = sum(1 << (i * n + i) for i in range(n))
+    cover = [0] * (full + 2)
+    for w in range(full, 0, -1):
+        cover[w] = cover[w + 1] | masks[w]
+    tails = []
+    for t in range(TAIL + 1):
+        table: dict[int, list[tuple[int, ...]]] = {}
+        for sub in itertools.combinations(range(1, full + 1), t):
+            S = 0
+            for v in sub:
+                S ^= masks[v]
+            table.setdefault(S, []).append(sub)
+        tails.append(table)
+    return masks, ident, cover, tails
 
 
-def _pair_suffix_counts(n: int) -> dict[tuple[int, int], list[int]]:
-    """cnt[(b1, b2)][w] = number of v in [w, 2^n - 1] with bits b1, b2 set."""
-    full = (1 << n) - 1
-    cnt = {}
-    for b1 in range(n):
-        for b2 in range(b1, n):
-            arr = [0] * (full + 2)
-            for v in range(full, 0, -1):
-                arr[v] = arr[v + 1] + ((v >> b1) & (v >> b2) & 1)
-            cnt[(b1, b2)] = arr
-    return cnt
+def _check_search(n: int, k: int) -> None:
+    """Refuse a search over the k-subsets of Z_2^n before any table exists.
 
-
-def _check_range(n: int, k: int) -> None:
+    Admitted: every k up to n = 5, and k <= 9 at n = 6 (about 30 s). At
+    n >= 7 the 3-subset tail table alone would hold 333,375 subsets.
+    """
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
-    if not n <= k <= (1 << n) - 1:
+    if n <= 6 and not n <= k <= (1 << n) - 1:
+        raise ValueError(f"k = {k} out of range [{n}, {(1 << n) - 1}] for Z_2^{n}")
+    if n > 6 or (n == 6 and k > 9):
         raise ValueError(
-            f"k = {k} out of range [{n}, {(1 << n) - 1}] for Z_2^{n}")
+            f"a search over {k}-subsets of Z_2^{n} is too large; "
+            "searches cover every k up to n = 5 and k <= 9 at n = 6")
 
 
 def _search(n: int, k: int, first: Optional[int] = None) -> list[tuple[int, ...]]:
     """Depth-first search over ascending encodings, maintaining partial S.
 
-    A coordinate pair is completed once no remaining candidate carries
-    both bits; prune when a completed pair still needs a parity flip
-    (diagonal pairs checked first, they reject earliest). With one slot
-    left the diagonal of the deficit pins the only possible vector.
+    With more than TAIL slots left, prune when the deficit S + I has a bit
+    that no remaining candidate can flip (outside cover[start]). With r <=
+    TAIL slots left, the completions are exactly the r-subsets whose S is
+    the deficit and whose first vector is at least start: one lookup.
     Must produce exactly the frames of the naive test-every-subset filter.
     """
-    masks, ident, full = _outer_masks(n)
-    cnt = _pair_suffix_counts(n)
-    pairs = [(b, b) for b in range(n)] + [
-        (b1, b2) for b1 in range(n) for b2 in range(b1 + 1, n)]
+    masks, ident, cover, tails = _tables(n)
+    full = (1 << n) - 1
     out: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
     def dfs(start: int, S: int) -> None:
         r = k - len(chosen)
-        if r == 0:
-            if S == ident:
-                out.append(tuple(chosen))
-            return
-        if full - start + 1 < r:
-            return
         delta = S ^ ident
-        if r == 1:
-            w = 0
-            for i in range(n):
-                if (delta >> (i * n + i)) & 1:
-                    w |= 1 << i
-            if w >= start and w != 0 and masks[w] == delta:
-                out.append(tuple(chosen) + (w,))
+        if r <= TAIL:
+            for tail in tails[r].get(delta, ()):
+                if not tail or tail[0] >= start:
+                    out.append(tuple(chosen) + tail)
             return
-        for b1, b2 in pairs:
-            if (delta >> (b1 * n + b2)) & 1 and cnt[(b1, b2)][start] == 0:
-                return
-        for w in range(start, full + 1):
+        if delta & ~cover[start]:
+            return
+        for w in range(start, full - r + 2):
             chosen.append(w)
             dfs(w + 1, S ^ masks[w])
             chosen.pop()
@@ -162,7 +159,7 @@ def _iter_encodings(n: int, k: int, workers: int = 1) -> Iterator[tuple[int, ...
     disjoint subtrees and the results merge in first-vector order, so the
     stream is identical for any worker count.
     """
-    _check_range(n, k)
+    _check_search(n, k)
     full = (1 << n) - 1
     if workers <= 1:
         yield from _search(n, k)
@@ -243,30 +240,27 @@ def catalog(n: int, k_max: Optional[int] = None, *,
     complementary small size; k whose complement size falls below n can
     hold no Parseval frame at all.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
+    _check_search(n, n)  # refuses n < 1 and n >= 7 before 2^n is formed
     cfg = config or SearchConfig()
     full = (1 << n) - 1
     lo = max(n, cfg.k_min) if cfg.k_min is not None else n
     hi = full if k_max is None else min(k_max, full)
     if cfg.k_max is not None:
         hi = min(hi, cfg.k_max)
-    if n >= 5 and not cfg.allow_large:
-        threshold = (1 << (n - 1)) - 1 if cfg.use_complement_shortcut else full
-        worst = max((full - k if k > threshold else k
-                     for k in range(lo, hi + 1)), default=0)
-        if worst > 8:
-            raise ValueError(
-                f"catalog at n = {n} needs a search over {worst}-subsets; "
-                "bound k with k_max or opt in with SearchConfig(allow_large=True)")
+    shortcut = cfg.use_complement_shortcut and n >= 3
+    # the subset size searched for each row, smaller than k by complement;
+    # all are checked before the first row starts
+    sizes = {k: full - k if shortcut and k > (1 << (n - 1)) - 1 else k
+             for k in range(lo, hi + 1)}
+    for size in sizes.values():
+        if size >= n:
+            _check_search(n, size)
     rows = []
-    for k in range(lo, hi + 1):
-        if cfg.use_complement_shortcut and n >= 3 and k > (1 << (n - 1)) - 1:
-            k_small = full - k
-            if k_small < n:
-                classes: list[SwitchingClass] = []
-            else:
-                classes = _complemented_classes(n, k_small, cfg.workers)
+    for k, size in sizes.items():
+        if size < n:
+            classes: list[SwitchingClass] = []
+        elif size < k:
+            classes = _complemented_classes(n, size, cfg.workers)
         else:
             classes = classify(n, k, workers=cfg.workers)
         if classes:

@@ -1,7 +1,10 @@
 import os
 import subprocess
 import sys
+import time
 
+import binframes.cli
+import binframes.enumeration
 from binframes.cli import run
 
 
@@ -97,6 +100,23 @@ def test_enumerate_command(capsys):
     assert run(["enumerate", "3", "8"]) == 2
 
 
+def _must_not_run(*args):
+    raise AssertionError(f"called with {args}")
+
+
+def test_enumerate_refuses_large_searches_before_building_tables(
+        capsys, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(binframes.enumeration, "_tables", _must_not_run)
+        for argv in (["enumerate", "6", "20"], ["enumerate", "40", "40"]):
+            t0 = time.perf_counter()
+            assert run(argv) == 2
+            assert time.perf_counter() - t0 < 1.0
+            assert "too large" in capsys.readouterr().err
+    assert run(["enumerate", "6", "6"]) == 0
+    assert len(out_lines(capsys)) == 32
+
+
 def test_catalog_command(capsys):
     assert run(["catalog", "3"]) == 0
     assert out_lines(capsys) == [
@@ -144,6 +164,17 @@ def test_counterexample_shift(capsys):
 def test_counterexample_bad_dimension(capsys):
     assert run(["counterexample", "weight2", "1"]) == 2
     assert run(["counterexample", "shift", "1"]) == 2
+
+
+def test_counterexample_refuses_large_sweeps(capsys, monkeypatch):
+    # refused before the family, the matrix or any sweep is built
+    for name in ("weight_two_family", "parseval_identity_holds",
+                 "shift_matrix", "mat_vec"):
+        monkeypatch.setattr(binframes.cli, name, _must_not_run)
+    for kind in ("shift", "weight2"):
+        assert run(["counterexample", kind, "30"]) == 2
+        assert run(["counterexample", kind, "17"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_usage_errors(capsys):

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from binframes import enumeration
 from binframes.enumeration import (CatalogRow, SearchConfig, SwitchingClass,
                                    _pool_size, catalog, catalog_lines,
                                    classify, enumerate_parseval, write_catalog)
@@ -172,19 +173,40 @@ def test_catalog_kmax_and_config_ranges():
     assert len(rows) == 1 and rows[0].classes[0].member_count == 6
 
 
-def test_catalog_large_searches_need_opt_in():
-    # a full n=5 catalog runs for hours; it must not start by accident
-    with pytest.raises(ValueError):
-        catalog(5)
-    with pytest.raises(ValueError):
-        catalog(5, 9)
-    with pytest.raises(ValueError):
-        catalog(6)
+def test_search_size_guard(monkeypatch):
+    # n <= 5 is searched at every k and n = 6 up to k = 9; everything else
+    # is refused by one check, before any search table is built
     assert catalog(5, 8, config=SearchConfig(k_max=6))  # bounded: fine
-    # opting in only widens the gate; bounded call stays identical
-    a = catalog_lines(catalog(5, 6))
-    b = catalog_lines(catalog(5, 6, config=SearchConfig(allow_large=True)))
-    assert a == b
+    with monkeypatch.context() as m:
+        def no_tables(n):
+            raise AssertionError(f"search tables built for n = {n}")
+        m.setattr(enumeration, "_tables", no_tables)
+        with pytest.raises(ValueError):
+            catalog(6)  # k = 10 is refused before the k = 6 row starts
+        with pytest.raises(ValueError):
+            catalog(6, config=SearchConfig(use_complement_shortcut=False))
+        with pytest.raises(ValueError):
+            classify(6, 20)
+        with pytest.raises(ValueError):
+            list(enumerate_parseval(7, 7))
+        with pytest.raises(ValueError):
+            list(enumerate_parseval(40, 40, workers=2))
+    for n, k in ((5, 5), (5, 31), (6, 6), (6, 9)):
+        enumeration._check_search(n, k)
+    for n, k in ((6, 10), (6, 63), (7, 7), (0, 1), (5, 4), (5, 32), (6, 64)):
+        with pytest.raises(ValueError):
+            enumeration._check_search(n, k)
+
+
+def test_deep_n5_searches_equal_complements_of_shallow_ones():
+    # k = 24, 25 run the pruned search with many slots left, k = 7, 6 end
+    # in tail lookups soon; complement duality ties the two
+    nonzero = set(range(1, 32))
+    for k in (24, 25):
+        direct = [f.encodings for f in enumerate_parseval(5, k)]
+        comp = sorted(tuple(sorted(nonzero - set(f.encodings)))
+                      for f in enumerate_parseval(5, 31 - k))
+        assert direct and direct == comp
 
 
 def test_catalog_line_format():
