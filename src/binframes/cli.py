@@ -13,7 +13,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .enumeration import SearchConfig, catalog, catalog_lines, enumerate_parseval
+from .enumeration import SearchConfig, _keyed_encodings, catalog, catalog_lines
 from .equivalence import (canonical_key, complement, is_trivially_redundant,
                           switching_equivalent, unitary_equivalent)
 from .frames import (Frame, compute_dual, format_frame, grammian, is_frame,
@@ -98,9 +98,8 @@ def _cmd_complement(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     lines = []
-    for frame in enumerate_parseval(args.n, args.k, workers=args.workers):
-        vecs = ",".join(str(e) for e in frame.encodings)
-        key = canonical_key(grammian(frame))
+    for encs, key in _keyed_encodings(args.n, args.k, args.workers):
+        vecs = ",".join(str(e) for e in encs)
         lines.append(f"{args.n}\t{args.k}\t{vecs}\t{key}\t1")
     _emit(lines, args.out)
     return 0

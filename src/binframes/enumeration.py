@@ -2,8 +2,9 @@
 
 Frames are enumerated as unordered subsets of the nonzero vectors (so no
 trivially redundant family can appear) in lexicographic order of their
-ascending encodings, grouped into switching classes by canonical Grammian
-key, and assembled into a catalog. For k past the halfway point the
+ascending encodings, grouped into switching classes, which are the orbits
+of the unitary group O(n) on vector sets, with one canonical Grammian key
+per orbit, and assembled into a catalog. For k past the halfway point the
 catalog can take complements of the small-k classes instead of searching;
 both routes must agree, and the tests hold them to that.
 """
@@ -13,12 +14,12 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .equivalence import CanonicalKey, canonical_key
 from .frames import Frame, grammian
+from .gf2 import BinMatrix, is_unitary
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,8 @@ class SwitchingClass:
     """One switching-equivalence class at fixed (n, k).
 
     The representative is the member whose sorted encoding list is
-    lexicographically least; member_count counts distinct vector-sets.
+    lexicographically least; member_count counts distinct vector-sets,
+    the size of the class's O(n)-orbit.
     """
 
     key: CanonicalKey
@@ -168,6 +170,8 @@ def _iter_encodings(n: int, k: int, workers: int = 1) -> Iterator[tuple[int, ...
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     size = _pool_size(workers, len(tasks), cpus)
+    # imported here, so that one-worker runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=size) as pool:
         for chunk in pool.map(_subtree_task, tasks, chunksize=4):
             yield from chunk
@@ -184,11 +188,74 @@ def enumerate_parseval(n: int, k: int, *, workers: int = 1) -> Iterator[Frame]:
         yield Frame.from_encodings(n, encs)
 
 
+@functools.lru_cache(maxsize=None)
+def _generators(n: int) -> tuple[tuple[int, ...], ...]:
+    """Image tables g[x] of a generating set of O(n), the unitaries of Z_2^n.
+
+    The n - 1 adjacent coordinate swaps generate the permutation matrices;
+    for n >= 4 the transvection x -> x + (a.x)a with a = 0b1111, unitary as
+    a has even weight, adds the rest. Each is checked unitary once per n.
+    """
+    columns = []
+    for i in range(n - 1):
+        cols = [1 << j for j in range(n)]
+        cols[i], cols[i + 1] = cols[i + 1], cols[i]
+        columns.append(cols)
+    if n >= 4:
+        a = 0b1111
+        columns.append([(1 << j) ^ (a if (a >> j) & 1 else 0) for j in range(n)])
+    tables = []
+    for cols in columns:
+        if not is_unitary(BinMatrix(n, n, tuple(cols)).transpose()):
+            raise RuntimeError(f"orbit generator {cols} is not unitary on Z_2^{n}")
+        table = [0] * (1 << n)
+        for x in range(1, 1 << n):
+            low = x & -x
+            table[x] = table[x ^ low] ^ cols[low.bit_length() - 1]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _keyed_encodings(n: int, k: int, workers: int = 1
+                     ) -> Iterator[tuple[tuple[int, ...], CanonicalKey]]:
+    """The _iter_encodings stream, each subset with its class key.
+
+    The first member of a switching class to arrive is its least, and its
+    O(n)-orbit, swept by BFS over _generators(n), is the whole class, so
+    one canonical key serves every member. Raises when two orbits share a
+    key (too few generators) or the orbits do not cover exactly the
+    streamed subsets.
+    """
+    key_of: dict[tuple[int, ...], CanonicalKey] = {}
+    keys: set[CanonicalKey] = set()
+    streamed = 0
+    for encs in _iter_encodings(n, k, workers):
+        streamed += 1
+        key = key_of.get(encs)
+        if key is None:
+            key = canonical_key(grammian(Frame.from_encodings(n, encs)))
+            if key in keys:
+                raise RuntimeError(f"two O({n})-orbits share key {key}")
+            keys.add(key)
+            key_of[encs] = key
+            orbit = [encs]
+            gens = _generators(n)  # after the stream's size check passed
+            for member in orbit:  # grows while it is read: breadth first
+                for g in gens:
+                    image = tuple(sorted([g[v] for v in member]))
+                    if image not in key_of:
+                        key_of[image] = key
+                        orbit.append(image)
+        yield encs, key
+    if len(key_of) != streamed:
+        raise RuntimeError(f"O({n})-orbits hold {len(key_of)} subsets "
+                           f"of the {streamed} streamed at k = {k}")
+
+
 def _classify_members(n: int, k: int,
                       workers: int = 1) -> dict[CanonicalKey, list[tuple[int, ...]]]:
     groups: dict[CanonicalKey, list[tuple[int, ...]]] = {}
-    for encs in _iter_encodings(n, k, workers):
-        key = canonical_key(grammian(Frame.from_encodings(n, encs)))
+    for encs, key in _keyed_encodings(n, k, workers):
         groups.setdefault(key, []).append(encs)
     return groups
 
@@ -206,8 +273,10 @@ def _to_classes(n: int,
 def classify(n: int, k: int, *, workers: int = 1) -> list[SwitchingClass]:
     """Group the Parseval k-subsets of Z_2^n into switching classes.
 
-    Classes are keyed by canonical Grammian key, carry their least member
-    as representative, and are sorted by representative.
+    Classes are the O(n)-orbits of the Parseval k-subsets, keyed by the
+    canonical Grammian key of one member each; they carry their least
+    member as representative and their orbit size as member count, and are
+    sorted by representative.
     """
     return _to_classes(n, _classify_members(n, k, workers))
 

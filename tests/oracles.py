@@ -211,3 +211,44 @@ def apply_matrix(U, enc, n):
     """Left-multiply the encoded vector by the list-of-lists matrix."""
     x = vec_of(enc, n)
     return enc_of([sum(U[i][j] * x[j] for j in range(n)) % 2 for i in range(n)])
+
+
+def orthogonal_group_order(n):
+    """|O(n)| as the number of ordered orthonormal bases of Z_2^n.
+
+    A unitary is fixed by its columns, which are exactly such a basis:
+    odd-weight vectors with pairwise even overlap.
+    """
+    odd = [v for v in range(1, 1 << n) if bin(v).count("1") % 2]
+
+    def extend(basis):
+        if len(basis) == n:
+            return 1
+        return sum(extend(basis + [v]) for v in odd
+                   if all(bin(v & u).count("1") % 2 == 0 for u in basis))
+    return extend([])
+
+
+def automorphism_count(G):
+    """Permutations p with G[p[i]][p[j]] == G[i][j], by backtracking."""
+    k = len(G)
+
+    def extend(p):
+        i = len(p)
+        if i == k:
+            return 1
+        return sum(extend(p + [v]) for v in range(k)
+                   if v not in p and G[v][v] == G[i][i]
+                   and all(G[v][p[j]] == G[i][j] for j in range(i)))
+    return extend([])
+
+
+def classes_by_member_keys(stream, key):
+    """Group a subset stream by one key per member: [(least, key, count)].
+
+    The per-member route that orbit sweeps replace, kept to cross-check them.
+    """
+    groups = {}
+    for encs in stream:
+        groups.setdefault(key(encs), []).append(encs)
+    return sorted((min(members), k, len(members)) for k, members in groups.items())

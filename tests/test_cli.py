@@ -6,6 +6,9 @@ import time
 import binframes.cli
 import binframes.enumeration
 from binframes.cli import run
+from binframes.enumeration import enumerate_parseval
+from binframes.equivalence import canonical_key
+from binframes.frames import grammian
 
 
 def out_lines(capsys):
@@ -98,6 +101,28 @@ def test_enumerate_command(capsys):
     assert run(["enumerate", "3", "3"]) == 0
     assert out_lines(capsys) == ["3\t3\t1,2,4\tk3:94\t1"]
     assert run(["enumerate", "3", "8"]) == 2
+
+
+def test_enumerate_keys_equal_per_frame_keys(capsys):
+    # each line's key comes from its class's orbit; recomputing it per
+    # frame must give the same bytes
+    for argv in (["4", "7"], ["5", "8"], ["5", "8", "--workers", "2"]):
+        n, k = int(argv[0]), int(argv[1])
+        assert run(["enumerate", *argv]) == 0
+        want = "".join(
+            f"{n}\t{k}\t{','.join(map(str, f.encodings))}\t"
+            f"{canonical_key(grammian(f))}\t1\n" for f in enumerate_parseval(n, k))
+        assert want and capsys.readouterr().out == want
+
+
+def test_cli_import_leaves_the_pool_unloaded(package_env):
+    # multiprocessing is imported only when a run asks for workers
+    code = ("import sys; from binframes import cli; "
+            "print('multiprocessing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=package_env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def _must_not_run(*args):

@@ -10,8 +10,10 @@ from binframes.equivalence import (canonical_key, complement,
                                    is_trivially_redundant,
                                    switching_equivalent)
 from binframes.frames import Frame, grammian, is_parseval
+from binframes.gf2 import BinMatrix, BinVector, is_unitary, mat_vec
 
-from oracles import parseval_subsets_bruteforce
+from oracles import (automorphism_count, classes_by_member_keys,
+                     orthogonal_group_order, parseval_subsets_bruteforce)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "golden",
                       "reference_classes.tsv")
@@ -111,6 +113,55 @@ def test_classify_representative_matches_key():
         for cls in classify(n, k):
             assert cls.member_count >= 1
             assert canonical_key(grammian(cls.representative)) == cls.key
+
+
+def test_orbit_generators_are_unitary():
+    for n in range(1, 7):
+        for g in enumeration._generators(n):
+            U = BinMatrix(n, n, tuple(g[1 << j] for j in range(n))).transpose()
+            assert is_unitary(U)
+            assert all(g[x] == mat_vec(U, BinVector(n, x)).bits
+                       for x in range(1 << n))
+
+
+def test_orbit_generators_generate_the_orthogonal_group():
+    assert [orthogonal_group_order(n) for n in range(1, 6)] == [1, 2, 6, 48, 720]
+    for n in range(1, 6):
+        gens = enumeration._generators(n)
+        ident = tuple(range(1 << n))
+        group, queue = {ident}, [ident]
+        for h in queue:
+            for g in gens:
+                gh = tuple(g[h[x]] for x in range(1 << n))
+                if gh not in group:
+                    group.add(gh)
+                    queue.append(gh)
+        assert len(group) == orthogonal_group_order(n), n
+
+
+def test_member_count_times_automorphisms_is_group_order():
+    # orbit-stabilizer: a class is an O(n)-orbit, and the stabilizer of a
+    # Parseval frame acts on it as the permutations fixing its Grammian
+    checked = 0
+    for n in range(1, 6):
+        order = orthogonal_group_order(n)
+        for k in range(n, min(8, (1 << n) - 1) + 1):
+            for cls in classify(n, k):
+                aut = automorphism_count(grammian(cls.representative).to_lists())
+                assert cls.member_count * aut == order, (n, k, cls)
+                checked += 1
+    assert checked == 18  # 16 at n = 3..5, one each at n = 1, 2
+
+
+def test_classify_equals_per_member_key_grouping():
+    sizes = [(n, k) for n in range(1, 6) for k in range(n, min(9, (1 << n) - 1) + 1)]
+    for n, k in sizes + [(6, 6), (6, 7)]:
+        want = classes_by_member_keys(
+            enumeration._iter_encodings(n, k),
+            lambda encs: canonical_key(grammian(Frame.from_encodings(n, encs))))
+        got = [(c.representative.encodings, c.key, c.member_count)
+               for c in classify(n, k)]
+        assert got == want, (n, k)
 
 
 def test_complement_bijection_on_member_counts():

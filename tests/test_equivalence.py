@@ -407,6 +407,18 @@ results += [raises(lambda: bf.unitary_equivalent(F, F)),
 eq.is_unitary = real_is_unitary
 fm.verify_reconstruction = lambda frame, duals: False
 results.append(raises(lambda: bf.compute_dual(F)))
+# a generator that is not unitary; the swaps alone, whose orbits split the
+# n = 4 classes; a stream that loses a subset the orbits still cover
+en.is_unitary = lambda U: False
+results.append(raises(lambda: en._generators(3)))
+en.is_unitary = eq.is_unitary
+real_generators, real_iter = en._generators, en._iter_encodings
+en._generators = lambda n: real_generators(n)[:n - 1]
+results.append(raises(lambda: bf.classify(4, 4)))
+en._generators = real_generators
+en._iter_encodings = lambda n, k, workers=1: list(real_iter(n, k, workers))[1:]
+results.append(raises(lambda: bf.classify(4, 4)))
+en._iter_encodings = real_iter
 en._classify_members = lambda n, k, workers: {"a": [(1, 2, 4)], "b": [(1, 2, 4)]}
 results.append(raises(lambda: en._complemented_classes(3, 3, 1)))
 print(results)
@@ -417,4 +429,4 @@ def test_internal_checks_raise_under_optimize(package_env):
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
                           capture_output=True, text=True, env=package_env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[True, True, True, True, True]"
+    assert proc.stdout.strip() == str([True] * 8)
