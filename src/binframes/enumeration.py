@@ -45,14 +45,13 @@ class CatalogRow:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search knobs: k range bounds, complement shortcut, worker count.
+    """Search knobs: least k, complement shortcut, worker count.
 
     Every row is searched up to n = 5; at n = 6 a catalog, like any
     search, stops at subsets of 9 vectors (see _check_search).
     """
 
     k_min: Optional[int] = None
-    k_max: Optional[int] = None
     use_complement_shortcut: bool = True
     workers: int = 1
 
@@ -216,15 +215,28 @@ def _generators(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
+def _orbit(n: int, encs: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The O(n)-orbit of a sorted subset, swept breadth first from encs."""
+    orbit = [encs]
+    seen = {encs}
+    gens = _generators(n)
+    for member in orbit:  # grows while it is read: breadth first
+        for g in gens:
+            image = tuple(sorted([g[v] for v in member]))
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    return orbit
+
+
 def _keyed_encodings(n: int, k: int, workers: int = 1
                      ) -> Iterator[tuple[tuple[int, ...], CanonicalKey]]:
     """The _iter_encodings stream, each subset with its class key.
 
     The first member of a switching class to arrive is its least, and its
-    O(n)-orbit, swept by BFS over _generators(n), is the whole class, so
-    one canonical key serves every member. Raises when two orbits share a
-    key (too few generators) or the orbits do not cover exactly the
-    streamed subsets.
+    O(n)-orbit is the whole class, so one canonical key serves every
+    member. Raises when two orbits share a key (too few generators) or the
+    orbits do not cover exactly the streamed subsets.
     """
     key_of: dict[tuple[int, ...], CanonicalKey] = {}
     keys: set[CanonicalKey] = set()
@@ -237,37 +249,12 @@ def _keyed_encodings(n: int, k: int, workers: int = 1
             if key in keys:
                 raise RuntimeError(f"two O({n})-orbits share key {key}")
             keys.add(key)
-            key_of[encs] = key
-            orbit = [encs]
-            gens = _generators(n)  # after the stream's size check passed
-            for member in orbit:  # grows while it is read: breadth first
-                for g in gens:
-                    image = tuple(sorted([g[v] for v in member]))
-                    if image not in key_of:
-                        key_of[image] = key
-                        orbit.append(image)
+            for member in _orbit(n, encs):  # _generators runs after the size check
+                key_of[member] = key
         yield encs, key
     if len(key_of) != streamed:
         raise RuntimeError(f"O({n})-orbits hold {len(key_of)} subsets "
                            f"of the {streamed} streamed at k = {k}")
-
-
-def _classify_members(n: int, k: int,
-                      workers: int = 1) -> dict[CanonicalKey, list[tuple[int, ...]]]:
-    groups: dict[CanonicalKey, list[tuple[int, ...]]] = {}
-    for encs, key in _keyed_encodings(n, k, workers):
-        groups.setdefault(key, []).append(encs)
-    return groups
-
-
-def _to_classes(n: int,
-                groups: dict[CanonicalKey, list[tuple[int, ...]]]) -> list[SwitchingClass]:
-    classes = [
-        SwitchingClass(key, Frame.from_encodings(n, min(members)), len(members))
-        for key, members in groups.items()
-    ]
-    classes.sort(key=lambda c: c.representative.encodings)
-    return classes
 
 
 def classify(n: int, k: int, *, workers: int = 1) -> list[SwitchingClass]:
@@ -278,26 +265,39 @@ def classify(n: int, k: int, *, workers: int = 1) -> list[SwitchingClass]:
     member as representative and their orbit size as member count, and are
     sorted by representative.
     """
-    return _to_classes(n, _classify_members(n, k, workers))
+    reps: dict[CanonicalKey, tuple[int, ...]] = {}
+    counts: dict[CanonicalKey, int] = {}
+    for encs, key in _keyed_encodings(n, k, workers):
+        reps.setdefault(key, encs)
+        counts[key] = counts.get(key, 0) + 1
+    # the stream is in lex order: each key's first subset is its least, and
+    # the keys arrive in representative order
+    return [SwitchingClass(key, Frame.from_encodings(n, encs), counts[key])
+            for key, encs in reps.items()]
 
 
-def _complemented_classes(n: int, k_small: int, workers: int) -> list[SwitchingClass]:
-    """Classes at k = 2^n - 1 - k_small, built by complementing members.
+def _complemented_classes(n: int, classes: Sequence[SwitchingClass]
+                          ) -> list[SwitchingClass]:
+    """Classes at k = 2^n - 1 - k_small, from the classes at k_small.
 
-    Complementation within the nonzero vectors is a bijection between the
-    Parseval subsets at the two sizes and preserves switching classes and
-    member counts, so complementing every member reproduces exactly what
-    direct search would find.
+    For n >= 3 complementing within the nonzero vectors maps Parseval
+    subsets to Parseval subsets and commutes with O(n), so the complement
+    of a class is the orbit of its representative's complement: one sweep
+    and one key per class, no search. Raises when that orbit and the class
+    differ in size, or two complements share a key.
     """
     nonzero = set(range(1, 1 << n))
-    groups: dict[CanonicalKey, list[tuple[int, ...]]] = {}
-    for members in _classify_members(n, k_small, workers).values():
-        comp = [tuple(sorted(nonzero - set(m))) for m in members]
-        key = canonical_key(grammian(Frame.from_encodings(n, min(comp))))
-        if key in groups:
-            raise RuntimeError(f"complements of two classes share key {key}")
-        groups[key] = comp
-    return _to_classes(n, groups)
+    out = []
+    for cls in classes:
+        orbit = _orbit(n, tuple(sorted(nonzero - set(cls.representative.encodings))))
+        if len(orbit) != cls.member_count:
+            raise RuntimeError(f"a class of {cls.member_count} has a complement "
+                               f"orbit of {len(orbit)} in Z_2^{n}")
+        rep = Frame.from_encodings(n, min(orbit))
+        out.append(SwitchingClass(canonical_key(grammian(rep)), rep, len(orbit)))
+    if len({c.key for c in out}) < len(out):
+        raise RuntimeError("complements of two classes share a key")
+    return sorted(out, key=lambda c: c.representative.encodings)
 
 
 def catalog(n: int, k_max: Optional[int] = None, *,
@@ -307,32 +307,29 @@ def catalog(n: int, k_max: Optional[int] = None, *,
     With the complement shortcut enabled (and n >= 3, where complement
     duality holds), sizes past 2^(n-1) - 1 are produced from the
     complementary small size; k whose complement size falls below n can
-    hold no Parseval frame at all.
+    hold no Parseval frame at all. Each size is searched and classified
+    once, for its direct row and its complement row alike.
     """
     _check_search(n, n)  # refuses n < 1 and n >= 7 before 2^n is formed
     cfg = config or SearchConfig()
     full = (1 << n) - 1
     lo = max(n, cfg.k_min) if cfg.k_min is not None else n
     hi = full if k_max is None else min(k_max, full)
-    if cfg.k_max is not None:
-        hi = min(hi, cfg.k_max)
     shortcut = cfg.use_complement_shortcut and n >= 3
     # the subset size searched for each row, smaller than k by complement;
     # all are checked before the first row starts
     sizes = {k: full - k if shortcut and k > (1 << (n - 1)) - 1 else k
              for k in range(lo, hi + 1)}
-    for size in sizes.values():
-        if size >= n:
-            _check_search(n, size)
+    searched = [size for size in dict.fromkeys(sizes.values()) if size >= n]
+    for size in searched:
+        _check_search(n, size)
+    classified = {size: classify(n, size, workers=cfg.workers) for size in searched}
     rows = []
     for k, size in sizes.items():
-        if size < n:
-            classes: list[SwitchingClass] = []
-        elif size < k:
-            classes = _complemented_classes(n, size, cfg.workers)
-        else:
-            classes = classify(n, k, workers=cfg.workers)
+        classes = classified.get(size)
         if classes:
+            if size < k:
+                classes = _complemented_classes(n, classes)
             rows.append(CatalogRow(n, k, tuple(classes)))
     return rows
 

@@ -205,11 +205,14 @@ def complement(frame: Frame, drop_zero: bool = False) -> Frame:
     Parseval (with or without the zero vector, which contributes nothing
     to the frame operator), and complements preserve switching
     equivalence. Both facts need set semantics, so repeated vectors are
-    rejected.
+    rejected. The sweep covers all 2^n vectors, so n > 16 is refused.
     """
     if frame.dim < 3:
         raise DimensionTooSmallError(
             f"complement duality needs n >= 3, got n = {frame.dim}")
+    if frame.dim > 16:
+        raise ValueError(
+            f"complement sweeps all 2^n vectors; need n <= 16, got {frame.dim}")
     encs = frame.encodings
     present = set(encs)
     if len(present) < len(encs):

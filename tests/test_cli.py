@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -95,6 +96,22 @@ def test_complement_command(capsys):
     assert out_lines(capsys) == ["3; 0,3,5,6,7"]
     assert run(["complement", "2; 1,2"]) == 2
     assert run(["complement", "3; 1,1,2"]) == 2
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+
+def test_complement_refuses_large_sweeps(package_env):
+    # in a child capped at 512 MB, so that a lost bound fails fast instead
+    # of filling the machine with a 2^40-vector list
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "binframes.cli", "complement", "40; 1"],
+        capture_output=True, text=True, env=package_env, timeout=10,
+        preexec_fn=_cap_memory)
+    assert time.perf_counter() - t0 < 1.0
+    assert proc.returncode == 2 and "n <= 16" in proc.stderr
 
 
 def test_enumerate_command(capsys):

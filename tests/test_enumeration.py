@@ -218,16 +218,34 @@ def test_catalog_shortcut_agrees_with_direct_search():
 def test_catalog_kmax_and_config_ranges():
     rows = catalog(4, 6)
     assert [r.k for r in rows] == [4, 5, 6]
-    rows = catalog(4, config=SearchConfig(k_min=5, k_max=7))
+    rows = catalog(4, 7, config=SearchConfig(k_min=5))
     assert [r.k for r in rows] == [5, 6, 7]
     rows = catalog(5, 5)
     assert len(rows) == 1 and rows[0].classes[0].member_count == 6
 
 
+def test_catalog_searches_each_size_once(monkeypatch):
+    # a size serves its direct row and its complement row from one search
+    searched = []
+    real_iter = enumeration._iter_encodings
+
+    def logged(n, k, workers=1):
+        searched.append(k)
+        return real_iter(n, k, workers)
+
+    monkeypatch.setattr(enumeration, "_iter_encodings", logged)
+    for build, want in ((lambda: catalog(4), [4, 5, 6, 7]),
+                        (lambda: catalog(3), [3]),
+                        (lambda: catalog(5, config=SearchConfig(k_min=24)), [7, 6, 5])):
+        searched.clear()
+        build()
+        assert searched == want
+
+
 def test_search_size_guard(monkeypatch):
     # n <= 5 is searched at every k and n = 6 up to k = 9; everything else
     # is refused by one check, before any search table is built
-    assert catalog(5, 8, config=SearchConfig(k_max=6))  # bounded: fine
+    assert catalog(5, 6)  # bounded: fine
     with monkeypatch.context() as m:
         def no_tables(n):
             raise AssertionError(f"search tables built for n = {n}")
@@ -258,6 +276,9 @@ def test_deep_n5_searches_equal_complements_of_shallow_ones():
         comp = sorted(tuple(sorted(nonzero - set(f.encodings)))
                       for f in enumerate_parseval(5, 31 - k))
         assert direct and direct == comp
+    # the catalog's route: one orbit sweep per small class (two at k = 25)
+    for k in (25, 26):
+        assert enumeration._complemented_classes(5, classify(5, 31 - k)) == classify(5, k)
 
 
 def test_catalog_line_format():

@@ -327,6 +327,8 @@ def test_complement_preconditions():
         complement(fr(2, 1, 2))
     with pytest.raises(RepeatsPresentError):
         complement(fr(3, 1, 1, 2))
+    with pytest.raises(ValueError, match="n <= 16"):
+        complement(Frame(17, ()))  # refused before its 2^17 sweep
 
 
 def test_complement_partitions_nonzero_vectors():
@@ -419,8 +421,12 @@ en._generators = real_generators
 en._iter_encodings = lambda n, k, workers=1: list(real_iter(n, k, workers))[1:]
 results.append(raises(lambda: bf.classify(4, 4)))
 en._iter_encodings = real_iter
-en._classify_members = lambda n, k, workers: {"a": [(1, 2, 4)], "b": [(1, 2, 4)]}
-results.append(raises(lambda: en._complemented_classes(3, 3, 1)))
+# complements of one class passed twice; a class whose member count is not
+# its complement's orbit size
+cls = bf.classify(4, 4)[0]
+results.append(raises(lambda: en._complemented_classes(4, [cls, cls])))
+wrong = bf.SwitchingClass(cls.key, cls.representative, cls.member_count + 1)
+results.append(raises(lambda: en._complemented_classes(4, [wrong])))
 print(results)
 """
 
@@ -429,4 +435,4 @@ def test_internal_checks_raise_under_optimize(package_env):
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
                           capture_output=True, text=True, env=package_env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str([True] * 8)
+    assert proc.stdout.strip() == str([True] * 9)
