@@ -3,7 +3,8 @@
 Frames are passed inline as quoted literals in the `n; v1,...,vk` grammar;
 catalog output streams to stdout or, with --out, to a file. Exit codes:
 0 success, 1 negative verdict (not a frame, not spanning, not equivalent),
-2 usage or parse error, 141 stdout closed by its reader (broken pipe).
+2 usage or parse error, 70 internal error (a failed self-check, never a
+verdict), 141 stdout closed by its reader (broken pipe).
 """
 
 from __future__ import annotations
@@ -199,6 +200,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, MemoryError) as exc:  # RecursionError included
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 70  # EX_SOFTWARE
 
 
 def main() -> None:

@@ -4,9 +4,10 @@ Frames are enumerated as unordered subsets of the nonzero vectors (so no
 trivially redundant family can appear) in lexicographic order of their
 ascending encodings, grouped into switching classes, which are the orbits
 of the unitary group O(n) on vector sets, with one canonical Grammian key
-per orbit, and assembled into a catalog. For k past the halfway point the
-catalog can take complements of the small-k classes instead of searching;
-both routes must agree, and the tests hold them to that.
+per orbit, and assembled into a catalog. Up to n = 5 the subsets are read
+from one coset of a Reed-Muller code; at n = 6 they are searched. For k
+past the halfway point the catalog can take complements of the small-k
+classes instead; both routes must agree, and the tests hold them to that.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ class CatalogRow:
 class SearchConfig:
     """Search knobs: least k, complement shortcut, worker count.
 
-    Every row is searched up to n = 5; at n = 6 a catalog, like any
-    search, stops at subsets of 9 vectors (see _check_search).
+    Every row is read from the coset up to n = 5, where workers are not
+    used; at n = 6 a catalog, like any search, stops at subsets of 9
+    vectors (see _check_search).
     """
 
     k_min: Optional[int] = None
@@ -56,25 +58,34 @@ class SearchConfig:
     workers: int = 1
 
 
-# The last TAIL vectors of a subset come from one table lookup. At n = 5 the
-# 3-subset table holds 4,495 subsets (1.1 MB); 4-subsets would be 31,465 (6 MB).
+# The last TAIL vectors of a subset come from one table lookup. At n = 6 the
+# 3-subset table holds 39,711 subsets (about 10 MB with the smaller tables);
+# 4-subsets would be 595,665.
 TAIL = 3
+
+
+def _masks(n: int) -> tuple[list[int], int]:
+    """The packed rank-one masks of Z_2^n and the packed identity.
+
+    masks[v] is the contribution v v^T of v to S, n*n bits per word, so S
+    of a subset is the XOR of its members' masks; ident packs I alike.
+    """
+    masks = [sum(v << (i * n) for i in range(n) if (v >> i) & 1)
+             for v in range(1 << n)]
+    return masks, sum(1 << (i * n + i) for i in range(n))
 
 
 @functools.lru_cache(maxsize=None)
 def _tables(n: int) -> tuple[list[int], int, list[int], list[dict]]:
     """Search tables for Z_2^n, built once per process and shared: read only.
 
-    masks[v] is the rank-one contribution of v to S, packed n*n bits per
-    word, so S of a subset is the XOR of its members' masks; ident is the
-    packed identity. cover[w] is the OR of masks[w:], the bits that the
-    vectors from w on can still flip. tails[t] maps the packed S of every
-    t-subset of the nonzero vectors to those subsets, in lex order.
+    masks and ident are those of _masks. cover[w] is the OR of masks[w:],
+    the bits that the vectors from w on can still flip. tails[t] maps the
+    packed S of every t-subset of the nonzero vectors to those subsets, in
+    lex order.
     """
     full = (1 << n) - 1
-    masks = [sum(v << (i * n) for i in range(n) if (v >> i) & 1)
-             for v in range(full + 1)]
-    ident = sum(1 << (i * n + i) for i in range(n))
+    masks, ident = _masks(n)
     cover = [0] * (full + 2)
     for w in range(full, 0, -1):
         cover[w] = cover[w + 1] | masks[w]
@@ -90,11 +101,98 @@ def _tables(n: int) -> tuple[list[int], int, list[int], list[dict]]:
     return masks, ident, cover, tails
 
 
+@functools.lru_cache(maxsize=None)
+def _coset(n: int) -> tuple[list[int], int, list[int]]:
+    """The Parseval subsets of Z_2^n as one coset of a binary code, n <= 5.
+
+    A subset is a word of 2^n - 1 bits, bit v for vector v. S is linear in
+    the word, so the Parseval words are the particular word {e_1..e_n}
+    plus the kernel of S, punctured RM(n - 3, n) of dimension
+    d = 2^n - 1 - n(n+1)/2 (16 at n = 5, 42 at n = 6: out of reach).
+    Word i of the coset is the particular word XOR basis[j] for each set
+    bit j of i. planes[p] is a 2^d-bit int whose bit i is bit p of the
+    weight of word i: the weights of all words at once, bit-sliced.
+    """
+    if n > 5:
+        raise RuntimeError(f"the Parseval coset of Z_2^{n} is too large to slice")
+    full = (1 << n) - 1
+    masks, _ = _masks(n)
+    # eliminate over the masks, tracking which vectors each row combines
+    pivots: dict[int, tuple[int, int]] = {}
+    basis = []
+    for v in range(1, full + 1):
+        S, word = masks[v], 1 << v
+        while S:
+            top = S.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = S, word
+                break
+            S ^= pivots[top][0]
+            word ^= pivots[top][1]
+        else:
+            basis.append(word)
+    d = len(basis)
+    if d != full - n * (n + 1) // 2:
+        raise RuntimeError(f"the kernel of S on Z_2^{n} has dimension {d}")
+    particular = sum(1 << (1 << i) for i in range(n))
+    ones = (1 << (1 << d)) - 1
+    # index[j] has bit i set when i has bit j: blocks of 2^j zeros, 2^j ones
+    index = [ones // ((1 << (1 << j)) + 1) << (1 << j) for j in range(d)]
+    planes: list[int] = []
+    for v in range(1, full + 1):
+        column = ones if particular >> v & 1 else 0
+        for j, word in enumerate(basis):
+            if word >> v & 1:
+                column ^= index[j]
+        # add the column to the weights: a ripple-carry add across planes
+        for p, plane in enumerate(planes):
+            planes[p], column = plane ^ column, plane & column
+        if column:
+            planes.append(column)
+    return basis, particular, planes
+
+
+def _walk(n: int, k: int) -> list[tuple[int, ...]]:
+    """The Parseval k-subsets of Z_2^n, n <= 5, read from the coset.
+
+    Word i has weight k when bit i is set in exactly those planes p where
+    k has bit p; each such word is decoded, checked against S = I, and
+    turned into its encodings. Must produce exactly the frames of _search.
+    """
+    basis, particular, planes = _coset(n)
+    masks, ident = _masks(n)
+    full = (1 << n) - 1
+    selected = (1 << (1 << len(basis))) - 1 if k < 1 << len(planes) else 0
+    for p, plane in enumerate(planes):
+        selected &= plane if k >> p & 1 else ~plane
+    # the span of the basis as two tables, low and high 8 index bits
+    low, high = [0], [0]
+    for j, word in enumerate(basis):
+        half = low if j < 8 else high
+        half += [w ^ word for w in half]
+    out = []
+    bits = bin(selected)[:1:-1]  # bits[i] is bit i
+    i = bits.find("1")
+    while i >= 0:
+        w = particular ^ low[i & 0xFF] ^ high[i >> 8]
+        encs = tuple([v for v in range(1, full + 1) if w >> v & 1])
+        S = 0
+        for v in encs:
+            S ^= masks[v]
+        if S != ident:
+            raise RuntimeError(f"coset word {encs} of Z_2^{n} is not Parseval")
+        out.append(encs)
+        i = bits.find("1", i + 1)
+    out.sort()
+    return out
+
+
 def _check_search(n: int, k: int) -> None:
     """Refuse a search over the k-subsets of Z_2^n before any table exists.
 
-    Admitted: every k up to n = 5, and k <= 9 at n = 6 (about 30 s). At
-    n >= 7 the 3-subset tail table alone would hold 333,375 subsets.
+    Admitted: every k up to n = 5, read from the coset, and k <= 9 at
+    n = 6, searched (about 15 s at k = 9 on one worker). At n >= 7 the
+    3-subset tail table alone would hold 333,375 subsets.
     """
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
@@ -156,12 +254,16 @@ def _pool_size(workers: int, tasks: int, cpus: int) -> int:
 def _iter_encodings(n: int, k: int, workers: int = 1) -> Iterator[tuple[int, ...]]:
     """Stream Parseval k-subsets in lexicographic order.
 
-    The search space partitions by the first vector; workers explore
-    disjoint subtrees and the results merge in first-vector order, so the
-    stream is identical for any worker count.
+    Up to n = 5 they are read from the coset in one process, whatever the
+    worker count. At n = 6 the search space partitions by the first
+    vector; workers explore disjoint subtrees and the results merge in
+    first-vector order, so the stream is identical for any worker count.
     """
     _check_search(n, k)
     full = (1 << n) - 1
+    if n <= 5:
+        yield from _walk(n, k)
+        return
     if workers <= 1:
         yield from _search(n, k)
         return

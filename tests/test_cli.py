@@ -6,6 +6,7 @@ import time
 
 import binframes.cli
 import binframes.enumeration
+import binframes.equivalence
 from binframes.cli import run
 from binframes.enumeration import enumerate_parseval
 from binframes.equivalence import canonical_key
@@ -243,6 +244,18 @@ def test_cli_matches_library_verdicts(capsys):
         assert (run(["equiv", a, b, "--mode", "switching"]) == 0) == (
             switching_equivalent(F, H) is not None)
         capsys.readouterr()
+
+
+def test_internal_fault_exits_70_without_traceback(capsys, monkeypatch):
+    # a failed self-check is a fault in the package, not a negative verdict
+    for exc in (RuntimeError("forced fault"), RecursionError(), MemoryError()):
+        def fault(*args):
+            raise exc
+        monkeypatch.setattr(binframes.equivalence, "_min_lex_form", fault)
+        assert run(["gram", "3; 3,5,6,7"]) == 70
+        err = capsys.readouterr().err
+        assert err.startswith(f"internal error: {type(exc).__name__}")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_closed_stdout_exits_141_without_traceback(package_env):

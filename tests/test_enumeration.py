@@ -1,4 +1,6 @@
+import hashlib
 import os
+from collections import Counter
 
 import pytest
 
@@ -65,11 +67,32 @@ def test_pruned_search_equals_bruteforce_filter():
             assert got == parseval_subsets_bruteforce(n, k), (n, k)
 
 
+def test_coset_walk_equals_search():
+    # the two engines share only the packed masks: kernel and weight
+    # planes on one side, depth-first search and tail tables on the other
+    for n in (1, 2, 3, 4):
+        for k in range(n, 1 << n):
+            assert enumeration._walk(n, k) == enumeration._search(n, k), (n, k)
+    for k in range(5, 10):
+        assert enumeration._walk(5, k) == enumeration._search(5, k), (5, k)
+
+
+def test_coset_dimension_and_n5_bucket_sizes():
+    for n, d in ((1, 0), (2, 0), (3, 1), (4, 5), (5, 16)):
+        assert len(enumeration._coset(n)[0]) == d
+    sizes = {k: len(enumeration._walk(5, k)) for k in range(5, 32)}
+    assert [sizes[k] for k in range(5, 16)] == [
+        6, 26, 80, 240, 610, 1342, 2592, 4320, 6300, 8100, 9152]
+    assert all(sizes[k] == sizes.get(31 - k, 0) for k in sizes)
+    assert sum(sizes.values()) == 1 << 16
+
+
 def test_worker_partitioning_is_transparent():
-    for n, k in ((3, 4), (4, 5), (4, 9)):
+    # only n = 6 searches, so only n = 6 starts a pool
+    for n, k in ((6, 6), (6, 7)):
         seq = [f.encodings for f in enumerate_parseval(n, k)]
         par = [f.encodings for f in enumerate_parseval(n, k, workers=2)]
-        assert seq == par
+        assert seq and seq == par
 
 
 def test_pool_size_is_clamped_to_tasks_and_cpus():
@@ -279,6 +302,23 @@ def test_deep_n5_searches_equal_complements_of_shallow_ones():
     # the catalog's route: one orbit sweep per small class (two at k = 25)
     for k in (25, 26):
         assert enumeration._complemented_classes(5, classify(5, 31 - k)) == classify(5, k)
+
+
+# sha256 of the 312 lines of the full `binframes catalog 5`
+CATALOG_5_SHA256 = "eb02244c6b63e8f394d52d460ed61ecb98b4faa38309d4561947603ca8dd67cc"
+
+
+def test_full_catalog_5_is_pinned():
+    shortcut = catalog_lines(catalog(5))
+    direct = catalog_lines(catalog(5, config=SearchConfig(use_complement_shortcut=False)))
+    assert shortcut == direct
+    data = "".join(line + "\n" for line in shortcut).encode()
+    assert hashlib.sha256(data).hexdigest() == CATALOG_5_SHA256
+    per_k = Counter(int(line.split("\t")[1]) for line in shortcut)
+    assert [per_k[k] for k in range(5, 27)] == [
+        1, 2, 3, 3, 6, 11, 16, 22, 27, 31, 34, 34, 31, 27, 22, 16, 11, 6, 3, 3, 2, 1]
+    assert len(shortcut) == 312
+    assert sum(int(line.split("\t")[-1]) for line in shortcut) == 1 << 16
 
 
 def test_catalog_line_format():

@@ -427,6 +427,15 @@ cls = bf.classify(4, 4)[0]
 results.append(raises(lambda: en._complemented_classes(4, [cls, cls])))
 wrong = bf.SwitchingClass(cls.key, cls.representative, cls.member_count + 1)
 results.append(raises(lambda: en._complemented_classes(4, [wrong])))
+# a coset past n = 5; masks whose kernel has the wrong dimension; coset
+# words checked against a wrong identity
+results.append(raises(lambda: en._coset(6)))
+real_masks = en._masks
+en._masks = lambda n: ([0] * (1 << n), 0)
+results.append(raises(lambda: en._coset(3)))
+en._masks = lambda n: (real_masks(n)[0], 0)
+results.append(raises(lambda: en._walk(4, 4)))
+en._masks = real_masks
 print(results)
 """
 
@@ -435,4 +444,4 @@ def test_internal_checks_raise_under_optimize(package_env):
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
                           capture_output=True, text=True, env=package_env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str([True] * 9)
+    assert proc.stdout.strip() == str([True] * 12)
