@@ -200,7 +200,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, MemoryError) as exc:  # RecursionError included
+    except (RuntimeError, MemoryError) as exc:  # RecursionError is a RuntimeError
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 70  # EX_SOFTWARE
 

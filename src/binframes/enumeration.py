@@ -260,10 +260,10 @@ def _iter_encodings(n: int, k: int, workers: int = 1) -> Iterator[tuple[int, ...
     first-vector order, so the stream is identical for any worker count.
     """
     _check_search(n, k)
-    full = (1 << n) - 1
     if n <= 5:
         yield from _walk(n, k)
         return
+    full = (1 << n) - 1
     if workers <= 1:
         yield from _search(n, k)
         return
