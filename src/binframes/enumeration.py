@@ -8,6 +8,9 @@ per orbit, and assembled into a catalog. Up to n = 5 the subsets are read
 from one coset of a Reed-Muller code; at n = 6 they are searched. For k
 past the halfway point the catalog can take complements of the small-k
 classes instead; both routes must agree, and the tests hold them to that.
+Inside, a subset is one int word, bit v set for vector v: orbit images,
+complements and lex order are computed on words, and encoding tuples are
+built only where they are handed out.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import functools
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from operator import getitem
+from typing import Callable, Iterator, Optional, Sequence
 
 from .equivalence import CanonicalKey, canonical_key
 from .frames import Frame, grammian
@@ -101,8 +105,26 @@ def _tables(n: int) -> tuple[list[int], int, list[int], list[dict]]:
     return masks, ident, cover, tails
 
 
+def _byte_tables(values: Sequence[int]) -> tuple[list[int], ...]:
+    """Tables that map a word, one byte at a time, through a linear map.
+
+    Table j sends a byte x to the XOR of values[8j + t] over the set bits t
+    of x, so the image of a word is the XOR of one lookup per byte.
+    """
+    tables = []
+    for j in range(0, len(values), 8):
+        table = [0] * 256
+        for x in range(1, 256):
+            low = x & -x
+            v = j + low.bit_length() - 1
+            table[x] = table[x ^ low] ^ (values[v] if v < len(values) else 0)
+        tables.append(table)
+    return tuple(tables)
+
+
 @functools.lru_cache(maxsize=None)
-def _coset(n: int) -> tuple[list[int], int, list[int]]:
+def _coset(n: int) -> tuple[list[int], int, list[int], list[int], list[int],
+                            tuple[list[int], ...], int]:
     """The Parseval subsets of Z_2^n as one coset of a binary code, n <= 5.
 
     A subset is a word of 2^n - 1 bits, bit v for vector v. S is linear in
@@ -110,13 +132,15 @@ def _coset(n: int) -> tuple[list[int], int, list[int]]:
     plus the kernel of S, punctured RM(n - 3, n) of dimension
     d = 2^n - 1 - n(n+1)/2 (16 at n = 5, 42 at n = 6: out of reach).
     Word i of the coset is the particular word XOR basis[j] for each set
-    bit j of i. planes[p] is a 2^d-bit int whose bit i is bit p of the
-    weight of word i: the weights of all words at once, bit-sliced.
+    bit j of i; low and high hold the span of the basis for the low and
+    high 8 bits of i. planes[p] is a 2^d-bit int whose bit i is bit p of
+    the weight of word i: the weights of all words at once, bit-sliced.
+    smask maps the 4 bytes of a word to its packed S, ident is I packed.
     """
     if n > 5:
         raise RuntimeError(f"the Parseval coset of Z_2^{n} is too large to slice")
     full = (1 << n) - 1
-    masks, _ = _masks(n)
+    masks, ident = _masks(n)
     # eliminate over the masks, tracking which vectors each row combines
     pivots: dict[int, tuple[int, int]] = {}
     basis = []
@@ -149,42 +173,66 @@ def _coset(n: int) -> tuple[list[int], int, list[int]]:
             planes[p], column = plane ^ column, plane & column
         if column:
             planes.append(column)
-    return basis, particular, planes
-
-
-def _walk(n: int, k: int) -> list[tuple[int, ...]]:
-    """The Parseval k-subsets of Z_2^n, n <= 5, read from the coset.
-
-    Word i has weight k when bit i is set in exactly those planes p where
-    k has bit p; each such word is decoded, checked against S = I, and
-    turned into its encodings. Must produce exactly the frames of _search.
-    """
-    basis, particular, planes = _coset(n)
-    masks, ident = _masks(n)
-    full = (1 << n) - 1
-    selected = (1 << (1 << len(basis))) - 1 if k < 1 << len(planes) else 0
-    for p, plane in enumerate(planes):
-        selected &= plane if k >> p & 1 else ~plane
-    # the span of the basis as two tables, low and high 8 index bits
     low, high = [0], [0]
     for j, word in enumerate(basis):
         half = low if j < 8 else high
         half += [w ^ word for w in half]
-    out = []
+    smask = _byte_tables(masks + [0] * (32 - len(masks)))
+    return basis, particular, planes, low, high, smask, ident
+
+
+def _walk(n: int, k: int) -> list[int]:
+    """The Parseval k-subsets of Z_2^n, n <= 5, as coset words in lex order.
+
+    Word i has weight k when bit i is set in exactly those planes p where
+    k has bit p; each such word is checked against S = I. Decoded, the
+    words must be exactly the frames of _search, in the same order.
+    """
+    basis, particular, planes, low, high, smask, ident = _coset(n)
+    s0, s1, s2, s3 = smask
+    selected = (1 << (1 << len(basis))) - 1 if k < 1 << len(planes) else 0
+    for p, plane in enumerate(planes):
+        selected &= plane if k >> p & 1 else ~plane
+    words = []
     bits = bin(selected)[:1:-1]  # bits[i] is bit i
     i = bits.find("1")
     while i >= 0:
         w = particular ^ low[i & 0xFF] ^ high[i >> 8]
-        encs = tuple([v for v in range(1, full + 1) if w >> v & 1])
-        S = 0
-        for v in encs:
-            S ^= masks[v]
-        if S != ident:
-            raise RuntimeError(f"coset word {encs} of Z_2^{n} is not Parseval")
-        out.append(encs)
+        if s0[w & 0xFF] ^ s1[w >> 8 & 0xFF] ^ s2[w >> 16 & 0xFF] ^ s3[w >> 24] != ident:
+            raise RuntimeError(f"coset word {_encs(w)} of Z_2^{n} is not Parseval")
+        words.append(w)
         i = bits.find("1", i + 1)
-    out.sort()
-    return out
+    words.sort(key=_lex_key(n), reverse=True)
+    return words
+
+
+def _word(encs: Sequence[int]) -> int:
+    """The word of a subset: bit v set for each vector v."""
+    return sum(1 << v for v in encs)
+
+
+def _encs(word: int) -> tuple[int, ...]:
+    """The ascending encodings of a word's vectors."""
+    out = []
+    while word:
+        low = word & -word
+        out.append(low.bit_length() - 1)
+        word ^= low
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _lex_key(n: int) -> Callable[[int], int]:
+    """A sort key on words of Z_2^n whose descending order is lex order.
+
+    Of two sets of equal size, A comes first exactly when the lowest bit of
+    A ^ B is in A; reversing the bits of the words turns that bit into the
+    highest one, so the greater reversed word comes first.
+    """
+    size = ((1 << n) + 7) // 8
+    reverse = bytes(int(f"{x:08b}"[::-1], 2) for x in range(256))
+    return lambda word: int.from_bytes(
+        word.to_bytes(size, "little").translate(reverse), "big")
 
 
 def _check_search(n: int, k: int) -> None:
@@ -261,7 +309,7 @@ def _iter_encodings(n: int, k: int, workers: int = 1) -> Iterator[tuple[int, ...
     """
     _check_search(n, k)
     if n <= 5:
-        yield from _walk(n, k)
+        yield from map(_encs, _walk(n, k))
         return
     full = (1 << n) - 1
     if workers <= 1:
@@ -278,6 +326,15 @@ def _iter_encodings(n: int, k: int, workers: int = 1) -> Iterator[tuple[int, ...
             yield from chunk
 
 
+def _words(n: int, k: int, workers: int = 1) -> list[int]:
+    """The Parseval k-subsets of Z_2^n as words, in lex order: walked up to
+    n = 5, searched at n = 6."""
+    _check_search(n, k)
+    if n <= 5:
+        return _walk(n, k)
+    return [_word(encs) for encs in _iter_encodings(n, k, workers)]
+
+
 def enumerate_parseval(n: int, k: int, *, workers: int = 1) -> Iterator[Frame]:
     """Every Parseval frame of k distinct nonzero vectors in Z_2^n.
 
@@ -290,12 +347,14 @@ def enumerate_parseval(n: int, k: int, *, workers: int = 1) -> Iterator[Frame]:
 
 
 @functools.lru_cache(maxsize=None)
-def _generators(n: int) -> tuple[tuple[int, ...], ...]:
-    """Image tables g[x] of a generating set of O(n), the unitaries of Z_2^n.
+def _generators(n: int) -> tuple[tuple[tuple[int, ...], tuple[list[int], ...]], ...]:
+    """A generating set of O(n), the unitaries of Z_2^n, as (g, images).
 
-    The n - 1 adjacent coordinate swaps generate the permutation matrices;
-    for n >= 4 the transvection x -> x + (a.x)a with a = 0b1111, unitary as
-    a has even weight, adds the rest. Each is checked unitary once per n.
+    g[x] is the image of vector x; images are its _byte_tables on words,
+    so a word's image is the sum of one lookup per byte. The n - 1
+    adjacent coordinate swaps generate the permutation matrices; for n >= 4
+    the transvection x -> x + (a.x)a with a = 0b1111, unitary as a has even
+    weight, adds the rest. Each is checked unitary once per n.
     """
     columns = []
     for i in range(n - 1):
@@ -305,7 +364,7 @@ def _generators(n: int) -> tuple[tuple[int, ...], ...]:
     if n >= 4:
         a = 0b1111
         columns.append([(1 << j) ^ (a if (a >> j) & 1 else 0) for j in range(n)])
-    tables = []
+    gens = []
     for cols in columns:
         if not is_unitary(BinMatrix(n, n, tuple(cols)).transpose()):
             raise RuntimeError(f"orbit generator {cols} is not unitary on Z_2^{n}")
@@ -313,50 +372,70 @@ def _generators(n: int) -> tuple[tuple[int, ...], ...]:
         for x in range(1, 1 << n):
             low = x & -x
             table[x] = table[x ^ low] ^ cols[low.bit_length() - 1]
-        tables.append(tuple(table))
-    return tuple(tables)
+        gens.append((tuple(table), _byte_tables([1 << y for y in table])))
+    return tuple(gens)
 
 
-def _orbit(n: int, encs: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The O(n)-orbit of a sorted subset, swept breadth first from encs."""
-    orbit = [encs]
-    seen = {encs}
-    gens = _generators(n)
+def _orbit(n: int, word: int) -> list[int]:
+    """The O(n)-orbit of a word, swept breadth first from it."""
+    size = ((1 << n) + 7) // 8
+    tables = [images for _, images in _generators(n)]
+    orbit = [word]
+    seen = {word}
     for member in orbit:  # grows while it is read: breadth first
-        for g in gens:
-            image = tuple(sorted([g[v] for v in member]))
+        octets = member.to_bytes(size, "little")
+        for images in tables:
+            # a generator permutes the vectors, so the bytes' images are
+            # disjoint and their sum is their union
+            image = sum(map(getitem, images, octets))
             if image not in seen:
                 seen.add(image)
                 orbit.append(image)
     return orbit
 
 
+def _classes(n: int, k: int, workers: int = 1
+             ) -> tuple[list[int], list[tuple[int, CanonicalKey, list[int]]]]:
+    """The words of the Parseval k-subsets in lex order, and their classes.
+
+    A class is (least word, canonical key, O(n)-orbit). Read in lex order,
+    the first word that no earlier orbit holds is the least of its class,
+    whose orbit is the whole class: one sweep and one key per class.
+    Raises when an orbit holds a word that was not streamed, two orbits
+    share a key (too few generators) or the orbits do not hold exactly the
+    streamed words.
+    """
+    words = _words(n, k, workers)
+    unclaimed = set(words)
+    keys: set[CanonicalKey] = set()
+    classes = []
+    for word in words:
+        if word not in unclaimed:
+            continue
+        orbit = _orbit(n, word)  # _generators runs after the size check
+        if not unclaimed.issuperset(orbit):
+            raise RuntimeError(f"the O({n})-orbit of {_encs(word)} holds "
+                               f"a subset that was not streamed")
+        unclaimed.difference_update(orbit)
+        key = canonical_key(grammian(Frame.from_encodings(n, _encs(word))))
+        if key in keys:
+            raise RuntimeError(f"two O({n})-orbits share key {key}")
+        keys.add(key)
+        classes.append((word, key, orbit))
+    held = sum(len(orbit) for _, _, orbit in classes)
+    if held != len(words):
+        raise RuntimeError(f"O({n})-orbits hold {held} subsets "
+                           f"of the {len(words)} streamed at k = {k}")
+    return words, classes
+
+
 def _keyed_encodings(n: int, k: int, workers: int = 1
                      ) -> Iterator[tuple[tuple[int, ...], CanonicalKey]]:
-    """The _iter_encodings stream, each subset with its class key.
-
-    The first member of a switching class to arrive is its least, and its
-    O(n)-orbit is the whole class, so one canonical key serves every
-    member. Raises when two orbits share a key (too few generators) or the
-    orbits do not cover exactly the streamed subsets.
-    """
-    key_of: dict[tuple[int, ...], CanonicalKey] = {}
-    keys: set[CanonicalKey] = set()
-    streamed = 0
-    for encs in _iter_encodings(n, k, workers):
-        streamed += 1
-        key = key_of.get(encs)
-        if key is None:
-            key = canonical_key(grammian(Frame.from_encodings(n, encs)))
-            if key in keys:
-                raise RuntimeError(f"two O({n})-orbits share key {key}")
-            keys.add(key)
-            for member in _orbit(n, encs):  # _generators runs after the size check
-                key_of[member] = key
-        yield encs, key
-    if len(key_of) != streamed:
-        raise RuntimeError(f"O({n})-orbits hold {len(key_of)} subsets "
-                           f"of the {streamed} streamed at k = {k}")
+    """The _iter_encodings stream, each subset with its class key."""
+    words, classes = _classes(n, k, workers)
+    key_of = {member: key for _, key, orbit in classes for member in orbit}
+    for word in words:
+        yield _encs(word), key_of[word]
 
 
 def classify(n: int, k: int, *, workers: int = 1) -> list[SwitchingClass]:
@@ -367,15 +446,8 @@ def classify(n: int, k: int, *, workers: int = 1) -> list[SwitchingClass]:
     member as representative and their orbit size as member count, and are
     sorted by representative.
     """
-    reps: dict[CanonicalKey, tuple[int, ...]] = {}
-    counts: dict[CanonicalKey, int] = {}
-    for encs, key in _keyed_encodings(n, k, workers):
-        reps.setdefault(key, encs)
-        counts[key] = counts.get(key, 0) + 1
-    # the stream is in lex order: each key's first subset is its least, and
-    # the keys arrive in representative order
-    return [SwitchingClass(key, Frame.from_encodings(n, encs), counts[key])
-            for key, encs in reps.items()]
+    return [SwitchingClass(key, Frame.from_encodings(n, _encs(word)), len(orbit))
+            for word, key, orbit in _classes(n, k, workers)[1]]
 
 
 def _complemented_classes(n: int, classes: Sequence[SwitchingClass]
@@ -388,14 +460,15 @@ def _complemented_classes(n: int, classes: Sequence[SwitchingClass]
     and one key per class, no search. Raises when that orbit and the class
     differ in size, or two complements share a key.
     """
-    nonzero = set(range(1, 1 << n))
+    nonzero = (1 << (1 << n)) - 2
+    lex_key = _lex_key(n)
     out = []
     for cls in classes:
-        orbit = _orbit(n, tuple(sorted(nonzero - set(cls.representative.encodings))))
+        orbit = _orbit(n, nonzero ^ _word(cls.representative.encodings))
         if len(orbit) != cls.member_count:
             raise RuntimeError(f"a class of {cls.member_count} has a complement "
                                f"orbit of {len(orbit)} in Z_2^{n}")
-        rep = Frame.from_encodings(n, min(orbit))
+        rep = Frame.from_encodings(n, _encs(max(orbit, key=lex_key)))  # lex least
         out.append(SwitchingClass(canonical_key(grammian(rep)), rep, len(orbit)))
     if len({c.key for c in out}) < len(out):
         raise RuntimeError("complements of two classes share a key")

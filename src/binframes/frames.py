@@ -114,10 +114,13 @@ def is_frame(frame: Frame) -> bool:
 
 def is_parseval(frame: Frame) -> bool:
     """True iff the frame operator S = synthesis * analysis equals the
-    identity; the matrix route costs O(k n^2) words."""
+    identity; the matrix route costs O(k n^2) words. S has rank at most k,
+    so fewer than n vectors are refused before any matrix is built."""
+    if frame.size < frame.dim:
+        return False
     theta = frame.analysis_matrix()
     S = mat_mul(theta.transpose(), theta)
-    return S.row_bits == BinMatrix.identity(frame.dim).row_bits
+    return all(row == 1 << i for i, row in enumerate(S.row_bits))
 
 
 def compute_dual(frame: Frame) -> Optional[tuple[BinVector, ...]]:

@@ -254,7 +254,7 @@ def is_unitary(U: BinMatrix) -> bool:
     """True iff U*U = I; squareness then forces invertibility."""
     if not U.is_square():
         raise ValueError(f"unitarity of non-square {U.rows}x{U.cols} matrix")
-    return mat_mul(U.transpose(), U).row_bits == BinMatrix.identity(U.rows).row_bits
+    return all(row == 1 << i for i, row in enumerate(mat_mul(U.transpose(), U).row_bits))
 
 
 def select_basis(vectors: list[BinVector], dim: int) -> Optional[list[int]]:

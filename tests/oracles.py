@@ -252,3 +252,20 @@ def classes_by_member_keys(stream, key):
     for encs in stream:
         groups.setdefault(key(encs), []).append(encs)
     return sorted((min(members), k, len(members)) for k, members in groups.items())
+
+
+def orbit_by_tuples(gens, encs):
+    """The orbit of a sorted subset under the vector tables gens (g[x] is
+    the image of x), swept breadth first over sorted tuples.
+
+    The sweep that word images replaced, kept as their reference.
+    """
+    orbit = [encs]
+    seen = {encs}
+    for member in orbit:
+        for g in gens:
+            image = tuple(sorted([g[v] for v in member]))
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    return orbit

@@ -115,6 +115,18 @@ def test_complement_refuses_large_sweeps(package_env):
     assert proc.returncode == 2 and "n <= 16" in proc.stderr
 
 
+def test_parseval_check_refuses_short_families_before_the_identity(package_env):
+    # S has rank at most k, so one vector in Z_2^200000 is not Parseval; an
+    # n x n identity to compare S with would hold 2.5 GB of bits
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "binframes.cli", "equiv", "200000; 1", "200000; 1"],
+        capture_output=True, text=True, env=package_env, timeout=10,
+        preexec_fn=_cap_memory)
+    assert time.perf_counter() - t0 < 1.0
+    assert proc.returncode == 2 and "Parseval" in proc.stderr
+
+
 def test_enumerate_command(capsys):
     assert run(["enumerate", "3", "3"]) == 0
     assert out_lines(capsys) == ["3\t3\t1,2,4\tk3:94\t1"]

@@ -3,6 +3,7 @@ import os
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binframes import enumeration
 from binframes.enumeration import (CatalogRow, SearchConfig, SwitchingClass,
@@ -15,7 +16,8 @@ from binframes.frames import Frame, grammian, is_parseval
 from binframes.gf2 import BinMatrix, BinVector, is_unitary, mat_vec
 
 from oracles import (automorphism_count, classes_by_member_keys,
-                     orthogonal_group_order, parseval_subsets_bruteforce)
+                     orbit_by_tuples, orthogonal_group_order,
+                     parseval_subsets_bruteforce)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "golden",
                       "reference_classes.tsv")
@@ -70,11 +72,14 @@ def test_pruned_search_equals_bruteforce_filter():
 def test_coset_walk_equals_search():
     # the two engines share only the packed masks: kernel and weight
     # planes on one side, depth-first search and tail tables on the other
+    def walked(n, k):
+        return [enumeration._encs(w) for w in enumeration._walk(n, k)]
+
     for n in (1, 2, 3, 4):
         for k in range(n, 1 << n):
-            assert enumeration._walk(n, k) == enumeration._search(n, k), (n, k)
+            assert walked(n, k) == enumeration._search(n, k), (n, k)
     for k in range(5, 10):
-        assert enumeration._walk(5, k) == enumeration._search(5, k), (5, k)
+        assert walked(5, k) == enumeration._search(5, k), (5, k)
 
 
 def test_coset_dimension_and_n5_bucket_sizes():
@@ -140,7 +145,7 @@ def test_classify_representative_matches_key():
 
 def test_orbit_generators_are_unitary():
     for n in range(1, 7):
-        for g in enumeration._generators(n):
+        for g, _ in enumeration._generators(n):
             U = BinMatrix(n, n, tuple(g[1 << j] for j in range(n))).transpose()
             assert is_unitary(U)
             assert all(g[x] == mat_vec(U, BinVector(n, x)).bits
@@ -150,7 +155,7 @@ def test_orbit_generators_are_unitary():
 def test_orbit_generators_generate_the_orthogonal_group():
     assert [orthogonal_group_order(n) for n in range(1, 6)] == [1, 2, 6, 48, 720]
     for n in range(1, 6):
-        gens = enumeration._generators(n)
+        gens = [g for g, _ in enumeration._generators(n)]
         ident = tuple(range(1 << n))
         group, queue = {ident}, [ident]
         for h in queue:
@@ -160,6 +165,62 @@ def test_orbit_generators_generate_the_orthogonal_group():
                     group.add(gh)
                     queue.append(gh)
         assert len(group) == orthogonal_group_order(n), n
+
+
+def test_generator_byte_tables_agree_with_vector_tables():
+    for n in range(1, 7):
+        size = ((1 << n) + 7) // 8
+        for g, images in enumeration._generators(n):
+            assert len(images) == size
+            for v in range(1 << n):
+                octets = (1 << v).to_bytes(size, "little")
+                assert sum(images[j][x] for j, x in enumerate(octets)) == 1 << g[v]
+
+
+def test_word_sweep_equals_tuple_sweep():
+    # every class's orbit, member for member in breadth-first order
+    sizes = [(n, k) for n in range(1, 6) for k in range(n, min(8, (1 << n) - 1) + 1)]
+    checked = 0
+    for n, k in sizes + [(6, 6), (6, 7)]:
+        gens = [g for g, _ in enumeration._generators(n)]
+        for word, _, orbit in enumeration._classes(n, k)[1]:
+            want = orbit_by_tuples(gens, enumeration._encs(word))
+            assert [enumeration._encs(w) for w in orbit] == want, (n, k)
+            checked += 1
+    assert checked == 18 + 1 + 2  # n <= 5, then n = 6 at k = 6 and 7
+
+
+@st.composite
+def subsets(draw):
+    """(n, sorted encodings of distinct nonzero vectors), n <= 6."""
+    n = draw(st.integers(1, 6))
+    return n, tuple(sorted(draw(st.sets(st.integers(1, (1 << n) - 1)))))
+
+
+@st.composite
+def equal_size_pairs(draw):
+    n, a = draw(subsets())
+    b = draw(st.sets(st.integers(1, (1 << n) - 1), min_size=len(a), max_size=len(a)))
+    return n, a, tuple(sorted(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(subsets())
+def test_words_decode_to_their_encodings(sub):
+    n, encs = sub
+    word = enumeration._word(encs)
+    assert word < 1 << (1 << n) and not word & 1
+    assert enumeration._encs(word) == encs
+
+
+@settings(max_examples=300, deadline=None)
+@given(equal_size_pairs())
+def test_reversed_word_order_is_lex_order(pair):
+    n, a, b = pair
+    key = enumeration._lex_key(n)
+    ka, kb = key(enumeration._word(a)), key(enumeration._word(b))
+    assert (ka > kb) == (a < b)
+    assert (ka == kb) == (a == b)
 
 
 def test_member_count_times_automorphisms_is_group_order():
@@ -250,13 +311,13 @@ def test_catalog_kmax_and_config_ranges():
 def test_catalog_searches_each_size_once(monkeypatch):
     # a size serves its direct row and its complement row from one search
     searched = []
-    real_iter = enumeration._iter_encodings
+    real_words = enumeration._words
 
     def logged(n, k, workers=1):
         searched.append(k)
-        return real_iter(n, k, workers)
+        return real_words(n, k, workers)
 
-    monkeypatch.setattr(enumeration, "_iter_encodings", logged)
+    monkeypatch.setattr(enumeration, "_words", logged)
     for build, want in ((lambda: catalog(4), [4, 5, 6, 7]),
                         (lambda: catalog(3), [3]),
                         (lambda: catalog(5, config=SearchConfig(k_min=24)), [7, 6, 5])):

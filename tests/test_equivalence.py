@@ -4,6 +4,7 @@ import sys
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binframes.equivalence import (CanonicalKey, DimensionTooSmallError,
                                    NotParsevalError, RepeatsPresentError,
@@ -177,6 +178,17 @@ def test_canonical_key_permutation_invariance_random():
                 rng.shuffle(perm)
                 conj = conjugate(rows, perm)
                 assert canonical_key(BinMatrix(k, k, tuple(conj))) == key
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(17, 24), st.sampled_from((0.2, 0.5, 0.8)),
+       st.randoms(use_true_random=False))
+def test_canonical_key_permutation_invariance_past_exhaustive_range(k, density, rng):
+    rows = sym(rng, k, density)
+    perm = list(range(k))
+    rng.shuffle(perm)
+    assert (canonical_key(BinMatrix(k, k, tuple(conjugate(rows, perm))))
+            == canonical_key(BinMatrix(k, k, tuple(rows))))
 
 
 def test_canonical_key_agrees_with_bruteforce_random():
@@ -410,32 +422,37 @@ eq.is_unitary = real_is_unitary
 fm.verify_reconstruction = lambda frame, duals: False
 results.append(raises(lambda: bf.compute_dual(F)))
 # a generator that is not unitary; the swaps alone, whose orbits split the
-# n = 4 classes; a stream that loses a subset the orbits still cover
+# n = 4 classes; a stream that loses a subset its orbit holds and repeats
+# the other, so that the counts still agree; a stream that repeats both
 en.is_unitary = lambda U: False
 results.append(raises(lambda: en._generators(3)))
 en.is_unitary = eq.is_unitary
-real_generators, real_iter = en._generators, en._iter_encodings
+real_generators, real_words = en._generators, en._words
 en._generators = lambda n: real_generators(n)[:n - 1]
 results.append(raises(lambda: bf.classify(4, 4)))
 en._generators = real_generators
-en._iter_encodings = lambda n, k, workers=1: list(real_iter(n, k, workers))[1:]
+en._words = lambda n, k, workers=1: real_words(n, k, workers)[1:] * 2
 results.append(raises(lambda: bf.classify(4, 4)))
-en._iter_encodings = real_iter
+en._words = lambda n, k, workers=1: real_words(n, k, workers) * 2
+results.append(raises(lambda: bf.classify(4, 4)))
+en._words = real_words
 # complements of one class passed twice; a class whose member count is not
 # its complement's orbit size
 cls = bf.classify(4, 4)[0]
 results.append(raises(lambda: en._complemented_classes(4, [cls, cls])))
 wrong = bf.SwitchingClass(cls.key, cls.representative, cls.member_count + 1)
 results.append(raises(lambda: en._complemented_classes(4, [wrong])))
-# a coset past n = 5; masks whose kernel has the wrong dimension; coset
-# words checked against a wrong identity
+# a coset past n = 5; masks whose kernel has the wrong dimension; a coset
+# whose particular word lacks vector 1
 results.append(raises(lambda: en._coset(6)))
-real_masks = en._masks
+real_masks, real_coset = en._masks, en._coset
 en._masks = lambda n: ([0] * (1 << n), 0)
 results.append(raises(lambda: en._coset(3)))
-en._masks = lambda n: (real_masks(n)[0], 0)
-results.append(raises(lambda: en._walk(4, 4)))
 en._masks = real_masks
+basis, particular, *rest = real_coset(4)
+en._coset = lambda n: (basis, particular ^ 0b10, *rest)
+results.append(raises(lambda: en._walk(4, 4)))
+en._coset = real_coset
 print(results)
 """
 
@@ -444,4 +461,4 @@ def test_internal_checks_raise_under_optimize(package_env):
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
                           capture_output=True, text=True, env=package_env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str([True] * 12)
+    assert proc.stdout.strip() == str([True] * 13)

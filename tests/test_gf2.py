@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binframes.gf2 import (BinMatrix, BinVector, dot, inverse, is_unitary,
                            mat_mul, mat_vec, rank, select_basis)
@@ -294,3 +295,43 @@ def test_matrix_serialization_roundtrip():
     rows, cols, encs = A.to_row_encodings()
     assert (rows, cols, encs) == (4, 3, [3, 5, 6, 7])
     assert BinMatrix.from_row_encodings(rows, cols, encs) == A
+
+
+def matrices(m, n):
+    """Random m x n matrices over GF(2)."""
+    rows = st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m)
+    return rows.map(lambda r: BinMatrix(m, n, tuple(r)))
+
+
+@st.composite
+def chains(draw):
+    """(A, B, C) with A m x p, B p x q, C q x r, all sides <= 8."""
+    m, p, q, r = (draw(st.integers(1, 8)) for _ in range(4))
+    return draw(matrices(m, p)), draw(matrices(p, q)), draw(matrices(q, r))
+
+
+@st.composite
+def squares(draw):
+    n = draw(st.integers(1, 8))
+    return draw(matrices(n, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains())
+def test_product_and_transpose_laws(chain):
+    A, B, C = chain
+    assert mat_mul(mat_mul(A, B), C) == mat_mul(A, mat_mul(B, C))
+    assert mat_mul(A, B).transpose() == mat_mul(B.transpose(), A.transpose())
+    assert A.transpose().transpose() == A
+    assert rank(A) == rank(A.transpose())
+
+
+@settings(max_examples=200, deadline=None)
+@given(squares())
+def test_inverse_exists_exactly_at_full_rank(A):
+    n = A.rows
+    B = inverse(A)
+    assert (B is None) == (rank(A) < n)
+    if B is not None:
+        assert mat_mul(A, B) == BinMatrix.identity(n)
+        assert mat_mul(B, A) == BinMatrix.identity(n)
