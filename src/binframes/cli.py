@@ -15,7 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from .enumeration import SearchConfig, _keyed_encodings, catalog, catalog_lines
-from .equivalence import (canonical_key, complement, is_trivially_redundant,
+from .equivalence import (_check_key_size, canonical_key, complement, is_trivially_redundant,
                           switching_equivalent, unitary_equivalent)
 from .frames import (Frame, compute_dual, format_frame, grammian, is_frame,
                      is_parseval, parse_frame, parseval_identity_holds,
@@ -50,6 +50,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gram(args) -> int:
     frame = parse_frame(args.frame)
+    _check_key_size(frame.size)  # before the k x k Grammian
     G = grammian(frame)
     for line in _matrix_lines(G):
         print(line)

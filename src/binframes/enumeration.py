@@ -5,12 +5,11 @@ trivially redundant family can appear) in lexicographic order of their
 ascending encodings, grouped into switching classes, which are the orbits
 of the unitary group O(n) on vector sets, with one canonical Grammian key
 per orbit, and assembled into a catalog. Up to n = 5 the subsets are read
-from one coset of a Reed-Muller code; at n = 6 they are searched. For k
-past the halfway point the catalog can take complements of the small-k
-classes instead; both routes must agree, and the tests hold them to that.
-Inside, a subset is one int word, bit v set for vector v: orbit images,
-complements and lex order are computed on words, and encoding tuples are
-built only where they are handed out.
+from one coset of a Reed-Muller code; at n = 6 they are searched. Inside,
+a subset is its coordinate in that coset, so orbit images, lex order and
+complements are table lookups. For k past the halfway point the catalog
+can take complements of the small-k classes instead; both routes must
+agree, and the tests hold them to that.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ import functools
 import itertools
 import os
 from dataclasses import dataclass
-from operator import getitem
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .equivalence import CanonicalKey, canonical_key
 from .frames import Frame, grammian
@@ -105,45 +103,60 @@ def _tables(n: int) -> tuple[list[int], int, list[int], list[dict]]:
     return masks, ident, cover, tails
 
 
-def _byte_tables(values: Sequence[int]) -> tuple[list[int], ...]:
-    """Tables that map a word, one byte at a time, through a linear map.
-
-    Table j sends a byte x to the XOR of values[8j + t] over the set bits t
-    of x, so the image of a word is the XOR of one lookup per byte.
-    """
-    tables = []
-    for j in range(0, len(values), 8):
-        table = [0] * 256
+def _byte_tables(values: Sequence[int], const: int = 0) -> tuple[list[int], ...]:
+    """At least two tables that map an int through an affine map by bytes:
+    table j sends byte x to the XOR of values[8j + t] over the set bits t
+    of x, and table 0 XORs in const too, so the image of an int is the XOR
+    of one lookup per byte (_apply)."""
+    tables, padded = [], list(values) + [0] * 16
+    for j in range(0, max(len(values), 16), 8):
+        table = [0 if j else const] * 256
         for x in range(1, 256):
             low = x & -x
-            v = j + low.bit_length() - 1
-            table[x] = table[x ^ low] ^ (values[v] if v < len(values) else 0)
+            table[x] = table[x ^ low] ^ padded[j + low.bit_length() - 1]
         tables.append(table)
     return tuple(tables)
 
 
-@functools.lru_cache(maxsize=None)
-def _coset(n: int) -> tuple[list[int], int, list[int], list[int], list[int],
-                            tuple[list[int], ...], int]:
-    """The Parseval subsets of Z_2^n as one coset of a binary code, n <= 5.
+def _apply(tables: Sequence[list[int]], i: int) -> int:
+    """The image of i under _byte_tables: one lookup per byte, XORed."""
+    out = 0
+    for table in tables:
+        out, i = out ^ table[i & 0xFF], i >> 8
+    return out
+
+
+class _Coset(NamedTuple):
+    """The Parseval subsets of Z_2^n as one coset of a binary code, n <= 6.
 
     A subset is a word of 2^n - 1 bits, bit v for vector v. S is linear in
     the word, so the Parseval words are the particular word {e_1..e_n}
     plus the kernel of S, punctured RM(n - 3, n) of dimension
-    d = 2^n - 1 - n(n+1)/2 (16 at n = 5, 42 at n = 6: out of reach).
-    Word i of the coset is the particular word XOR basis[j] for each set
-    bit j of i; low and high hold the span of the basis for the low and
-    high 8 bits of i. planes[p] is a 2^d-bit int whose bit i is bit p of
-    the weight of word i: the weights of all words at once, bit-sliced.
-    smask maps the 4 bytes of a word to its packed S, ident is I packed.
-    """
-    if n > 5:
-        raise RuntimeError(f"the Parseval coset of Z_2^{n} is too large to slice")
+    d = 2^n - 1 - n(n+1)/2 (16 at n = 5, 42 at n = 6). Subset i < 2^d is
+    particular ^ basis[j] over the set bits j of i; tables are _byte_tables."""
+
+    basis: list[int]
+    particular: int
+    word: tuple[list[int], ...]   # coordinate -> word
+    index: tuple[list[int], ...]  # coset word -> coordinate
+    # coordinate -> reversed word: of equal-size sets, A is lex first exactly
+    # when the lowest bit of A ^ B, the highest reversed, is in A
+    lex: tuple[list[int], ...]
+    # i ^ flip is the complement of subset i: for n >= 3 the word of all
+    # nonzero vectors is in the kernel, and flip is its coordinate
+    flip: int
+    smask: tuple[list[int], ...]  # word -> packed S + I, zero when Parseval
+
+
+@functools.lru_cache(maxsize=None)
+def _coset(n: int) -> _Coset:
+    """_Coset(n), by one elimination over the masks of _masks."""
     full = (1 << n) - 1
     masks, ident = _masks(n)
-    # eliminate over the masks, tracking which vectors each row combines
+    # a mask that reduces to zero gives a basis word of its own vector and
+    # pivot vectors only, so a coset word's coordinate gathers w ^ particular
     pivots: dict[int, tuple[int, int]] = {}
-    basis = []
+    basis, gather = [], [0] * (full + 1)
     for v in range(1, full + 1):
         S, word = masks[v], 1 << v
         while S:
@@ -154,59 +167,66 @@ def _coset(n: int) -> tuple[list[int], int, list[int], list[int], list[int],
             S ^= pivots[top][0]
             word ^= pivots[top][1]
         else:
+            gather[v] = 1 << len(basis)
             basis.append(word)
-    d = len(basis)
-    if d != full - n * (n + 1) // 2:
-        raise RuntimeError(f"the kernel of S on Z_2^{n} has dimension {d}")
+    if len(basis) != full - n * (n + 1) // 2:
+        raise RuntimeError(f"the kernel of S on Z_2^{n} has dimension {len(basis)}")
     particular = sum(1 << (1 << i) for i in range(n))
-    ones = (1 << (1 << d)) - 1
-    # index[j] has bit i set when i has bit j: blocks of 2^j zeros, 2^j ones
-    index = [ones // ((1 << (1 << j)) + 1) << (1 << j) for j in range(d)]
+    index = _byte_tables(gather, sum(gather[1 << i] for i in range(n)))
+    lex = [int(f"{w:0{full + 1}b}"[::-1], 2) for w in [particular] + basis]
+    flip = _apply(index, particular ^ ((1 << full + 1) - 2))
+    return _Coset(basis, particular, _byte_tables(basis, particular), index,
+                  _byte_tables(lex[1:], lex[0]), flip,
+                  _byte_tables(masks + [0] * (32 - len(masks)), ident))
+
+
+@functools.lru_cache(maxsize=None)
+def _planes(n: int) -> list[int]:
+    """planes[p] is a 2^d-bit int whose bit i is bit p of the weight of word
+    i: every weight at once, bit-sliced, for n <= 5 (2^42 bits at n = 6)."""
+    if n > 5:
+        raise RuntimeError(f"the Parseval coset of Z_2^{n} is too large to slice")
+    basis, particular = _coset(n)[:2]
+    ones = (1 << (1 << len(basis))) - 1
+    # has_bit[j] has bit i set when i has bit j: blocks of 2^j zeros, 2^j ones
+    has_bit = [ones // ((1 << (1 << j)) + 1) << (1 << j) for j in range(len(basis))]
     planes: list[int] = []
-    for v in range(1, full + 1):
+    for v in range(1, 1 << n):
         column = ones if particular >> v & 1 else 0
         for j, word in enumerate(basis):
             if word >> v & 1:
-                column ^= index[j]
+                column ^= has_bit[j]
         # add the column to the weights: a ripple-carry add across planes
         for p, plane in enumerate(planes):
             planes[p], column = plane ^ column, plane & column
         if column:
             planes.append(column)
-    low, high = [0], [0]
-    for j, word in enumerate(basis):
-        half = low if j < 8 else high
-        half += [w ^ word for w in half]
-    smask = _byte_tables(masks + [0] * (32 - len(masks)))
-    return basis, particular, planes, low, high, smask, ident
+    return planes
 
 
 def _walk(n: int, k: int) -> list[int]:
-    """The Parseval k-subsets of Z_2^n, n <= 5, as coset words in lex order.
-
-    Word i has weight k when bit i is set in exactly those planes p where
-    k has bit p; each such word is checked against S = I. Decoded, the
-    words must be exactly the frames of _search, in the same order.
-    """
-    basis, particular, planes, low, high, smask, ident = _coset(n)
-    s0, s1, s2, s3 = smask
+    """The Parseval k-subsets of Z_2^n, n <= 5, as coordinates in lex order:
+    those whose bit is set in exactly the planes p where k has bit p, each
+    checked against S = I. Decoded, they are the frames of _search."""
+    planes = _planes(n)
+    basis, _, (w0, w1), _, (l0, l1), _, (s0, s1, s2, s3) = _coset(n)
     selected = (1 << (1 << len(basis))) - 1 if k < 1 << len(planes) else 0
     for p, plane in enumerate(planes):
         selected &= plane if k >> p & 1 else ~plane
-    words = []
+    by_key = {}
     bits = bin(selected)[:1:-1]  # bits[i] is bit i
     i = bits.find("1")
     while i >= 0:
-        w = particular ^ low[i & 0xFF] ^ high[i >> 8]
-        if s0[w & 0xFF] ^ s1[w >> 8 & 0xFF] ^ s2[w >> 16 & 0xFF] ^ s3[w >> 24] != ident:
+        lo, hi = i & 0xFF, i >> 8
+        w = w0[lo] ^ w1[hi]
+        if s0[w & 0xFF] ^ s1[w >> 8 & 0xFF] ^ s2[w >> 16 & 0xFF] ^ s3[w >> 24]:
             raise RuntimeError(f"coset word {_encs(w)} of Z_2^{n} is not Parseval")
-        words.append(w)
+        by_key[l0[lo] ^ l1[hi]] = i
         i = bits.find("1", i + 1)
-    words.sort(key=_lex_key(n), reverse=True)
-    return words
+    return [by_key[key] for key in sorted(by_key, reverse=True)]
 
 
-def _word(encs: Sequence[int]) -> int:
+def _word(encs: Iterable[int]) -> int:
     """The word of a subset: bit v set for each vector v."""
     return sum(1 << v for v in encs)
 
@@ -221,18 +241,9 @@ def _encs(word: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _lex_key(n: int) -> Callable[[int], int]:
-    """A sort key on words of Z_2^n whose descending order is lex order.
-
-    Of two sets of equal size, A comes first exactly when the lowest bit of
-    A ^ B is in A; reversing the bits of the words turns that bit into the
-    highest one, so the greater reversed word comes first.
-    """
-    size = ((1 << n) + 7) // 8
-    reverse = bytes(int(f"{x:08b}"[::-1], 2) for x in range(256))
-    return lambda word: int.from_bytes(
-        word.to_bytes(size, "little").translate(reverse), "big")
+def _subset(n: int, i: int) -> tuple[int, ...]:
+    """The ascending encodings of the subset with coset coordinate i."""
+    return _encs(_apply(_coset(n).word, i))
 
 
 def _check_search(n: int, k: int) -> None:
@@ -309,7 +320,7 @@ def _iter_encodings(n: int, k: int, workers: int = 1) -> Iterator[tuple[int, ...
     """
     _check_search(n, k)
     if n <= 5:
-        yield from map(_encs, _walk(n, k))
+        yield from map(_encs, map(functools.partial(_apply, _coset(n).word), _walk(n, k)))
         return
     full = (1 << n) - 1
     if workers <= 1:
@@ -326,15 +337,6 @@ def _iter_encodings(n: int, k: int, workers: int = 1) -> Iterator[tuple[int, ...
             yield from chunk
 
 
-def _words(n: int, k: int, workers: int = 1) -> list[int]:
-    """The Parseval k-subsets of Z_2^n as words, in lex order: walked up to
-    n = 5, searched at n = 6."""
-    _check_search(n, k)
-    if n <= 5:
-        return _walk(n, k)
-    return [_word(encs) for encs in _iter_encodings(n, k, workers)]
-
-
 def enumerate_parseval(n: int, k: int, *, workers: int = 1) -> Iterator[Frame]:
     """Every Parseval frame of k distinct nonzero vectors in Z_2^n.
 
@@ -348,46 +350,43 @@ def enumerate_parseval(n: int, k: int, *, workers: int = 1) -> Iterator[Frame]:
 
 @functools.lru_cache(maxsize=None)
 def _generators(n: int) -> tuple[tuple[tuple[int, ...], tuple[list[int], ...]], ...]:
-    """A generating set of O(n), the unitaries of Z_2^n, as (g, images).
+    """A generating set of O(n), the unitaries of Z_2^n, as (g, maps).
 
-    g[x] is the image of vector x; images are its _byte_tables on words,
-    so a word's image is the sum of one lookup per byte. The n - 1
-    adjacent coordinate swaps generate the permutation matrices; for n >= 4
-    the transvection x -> x + (a.x)a with a = 0b1111, unitary as a has even
-    weight, adds the rest. Each is checked unitary once per n.
-    """
-    columns = []
-    for i in range(n - 1):
-        cols = [1 << j for j in range(n)]
-        cols[i], cols[i + 1] = cols[i + 1], cols[i]
-        columns.append(cols)
-    if n >= 4:
-        a = 0b1111
-        columns.append([(1 << j) ^ (a if (a >> j) & 1 else 0) for j in range(n)])
+    g[x] is the image of vector x. A unitary keeps S = I, so it maps the
+    coset onto itself by an affine map of the coordinates, whose
+    _byte_tables are maps. The n - 1 adjacent coordinate swaps generate the
+    permutation matrices; for n >= 4 the transvection x -> x + (a.x)a with
+    a = 0b1111, unitary as a has even weight, adds the rest. Each is checked
+    unitary, and its map against g at 0 and every unit coordinate."""
+    columns = [[1 << {i: i + 1, i + 1: i}.get(j, j) for j in range(n)]  # swap i, i + 1
+               for i in range(n - 1)]
+    if n >= 4:  # column j of the transvection is e_j + a for j < 4
+        columns.append([1 << j ^ (0b1111 if j < 4 else 0) for j in range(n)])
+    coset = _coset(n)
+    points = [0] + [1 << j for j in range(len(coset.basis))]
     gens = []
     for cols in columns:
         if not is_unitary(BinMatrix(n, n, tuple(cols)).transpose()):
             raise RuntimeError(f"orbit generator {cols} is not unitary on Z_2^{n}")
-        table = [0] * (1 << n)
-        for x in range(1, 1 << n):
-            low = x & -x
-            table[x] = table[x ^ low] ^ cols[low.bit_length() - 1]
-        gens.append((tuple(table), _byte_tables([1 << y for y in table])))
+        table = _byte_tables(cols)[0][:1 << n]  # x -> the XOR of cols at x's bits
+        moved = [_word(table[v] for v in _subset(n, i)) for i in points]
+        c0, *images = [_apply(coset.index, word) for word in moved]
+        maps = _byte_tables([image ^ c0 for image in images], c0)
+        if any(_apply(coset.word, _apply(maps, i)) != w for i, w in zip(points, moved)):
+            raise RuntimeError(f"orbit generator {cols} has a wrong coset map on Z_2^{n}")
+        gens.append((tuple(table), maps))
     return tuple(gens)
 
 
-def _orbit(n: int, word: int) -> list[int]:
-    """The O(n)-orbit of a word, swept breadth first from it."""
-    size = ((1 << n) + 7) // 8
-    tables = [images for _, images in _generators(n)]
-    orbit = [word]
-    seen = {word}
+def _sweep(n: int, start: int) -> list[int]:
+    """The O(n)-orbit of a coordinate, swept breadth first from it."""
+    maps = [m for _, m in _generators(n)]
+    short = n <= 5  # two tables: the lookups inline
+    orbit, seen = [start], {start}
     for member in orbit:  # grows while it is read: breadth first
-        octets = member.to_bytes(size, "little")
-        for images in tables:
-            # a generator permutes the vectors, so the bytes' images are
-            # disjoint and their sum is their union
-            image = sum(map(getitem, images, octets))
+        lo, hi = member & 0xFF, member >> 8
+        for m in maps:
+            image = m[0][lo] ^ m[1][hi] if short else _apply(m, member)
             if image not in seen:
                 seen.add(image)
                 orbit.append(image)
@@ -396,46 +395,46 @@ def _orbit(n: int, word: int) -> list[int]:
 
 def _classes(n: int, k: int, workers: int = 1
              ) -> tuple[list[int], list[tuple[int, CanonicalKey, list[int]]]]:
-    """The words of the Parseval k-subsets in lex order, and their classes.
+    """The Parseval k-subsets as coordinates in lex order, and their classes.
 
-    A class is (least word, canonical key, O(n)-orbit). Read in lex order,
-    the first word that no earlier orbit holds is the least of its class,
-    whose orbit is the whole class: one sweep and one key per class.
-    Raises when an orbit holds a word that was not streamed, two orbits
-    share a key (too few generators) or the orbits do not hold exactly the
-    streamed words.
-    """
-    words = _words(n, k, workers)
-    unclaimed = set(words)
+    A class is (least member, canonical key, O(n)-orbit). Read in lex order,
+    the first subset that no earlier orbit holds is the least of its class,
+    whose orbit is the whole class: one sweep and one key per class. Raises
+    when an orbit holds a subset that was not streamed, two orbits share a
+    key (too few generators) or the orbits do not hold exactly the stream."""
+    _check_search(n, k)
+    coords = _walk(n, k) if n <= 5 else list(map(  # searched at n = 6
+        functools.partial(_apply, _coset(n).index), map(_word, _iter_encodings(n, k, workers))))
+    unclaimed = set(coords)
     keys: set[CanonicalKey] = set()
     classes = []
-    for word in words:
-        if word not in unclaimed:
+    for i in coords:
+        if i not in unclaimed:
             continue
-        orbit = _orbit(n, word)  # _generators runs after the size check
+        orbit = _sweep(n, i)  # _generators runs after the size check
         if not unclaimed.issuperset(orbit):
-            raise RuntimeError(f"the O({n})-orbit of {_encs(word)} holds "
+            raise RuntimeError(f"the O({n})-orbit of {_subset(n, i)} holds "
                                f"a subset that was not streamed")
         unclaimed.difference_update(orbit)
-        key = canonical_key(grammian(Frame.from_encodings(n, _encs(word))))
+        key = canonical_key(grammian(Frame.from_encodings(n, _subset(n, i))))
         if key in keys:
             raise RuntimeError(f"two O({n})-orbits share key {key}")
         keys.add(key)
-        classes.append((word, key, orbit))
+        classes.append((i, key, orbit))
     held = sum(len(orbit) for _, _, orbit in classes)
-    if held != len(words):
+    if held != len(coords):
         raise RuntimeError(f"O({n})-orbits hold {held} subsets "
-                           f"of the {len(words)} streamed at k = {k}")
-    return words, classes
+                           f"of the {len(coords)} streamed at k = {k}")
+    return coords, classes
 
 
 def _keyed_encodings(n: int, k: int, workers: int = 1
                      ) -> Iterator[tuple[tuple[int, ...], CanonicalKey]]:
     """The _iter_encodings stream, each subset with its class key."""
-    words, classes = _classes(n, k, workers)
+    coords, classes = _classes(n, k, workers)
     key_of = {member: key for _, key, orbit in classes for member in orbit}
-    for word in words:
-        yield _encs(word), key_of[word]
+    for i in coords:
+        yield _subset(n, i), key_of[i]
 
 
 def classify(n: int, k: int, *, workers: int = 1) -> list[SwitchingClass]:
@@ -446,8 +445,8 @@ def classify(n: int, k: int, *, workers: int = 1) -> list[SwitchingClass]:
     member as representative and their orbit size as member count, and are
     sorted by representative.
     """
-    return [SwitchingClass(key, Frame.from_encodings(n, _encs(word)), len(orbit))
-            for word, key, orbit in _classes(n, k, workers)[1]]
+    return [SwitchingClass(key, Frame.from_encodings(n, _subset(n, i)), len(orbit))
+            for i, key, orbit in _classes(n, k, workers)[1]]
 
 
 def _complemented_classes(n: int, classes: Sequence[SwitchingClass]
@@ -460,15 +459,16 @@ def _complemented_classes(n: int, classes: Sequence[SwitchingClass]
     and one key per class, no search. Raises when that orbit and the class
     differ in size, or two complements share a key.
     """
-    nonzero = (1 << (1 << n)) - 2
-    lex_key = _lex_key(n)
+    coset = _coset(n)
     out = []
     for cls in classes:
-        orbit = _orbit(n, nonzero ^ _word(cls.representative.encodings))
+        small = _apply(coset.index, _word(cls.representative.encodings))
+        orbit = _sweep(n, small ^ coset.flip)
         if len(orbit) != cls.member_count:
             raise RuntimeError(f"a class of {cls.member_count} has a complement "
                                f"orbit of {len(orbit)} in Z_2^{n}")
-        rep = Frame.from_encodings(n, _encs(max(orbit, key=lex_key)))  # lex least
+        least = max(orbit, key=functools.partial(_apply, coset.lex))
+        rep = Frame.from_encodings(n, _subset(n, least))
         out.append(SwitchingClass(canonical_key(grammian(rep)), rep, len(orbit)))
     if len({c.key for c in out}) < len(out):
         raise RuntimeError("complements of two classes share a key")

@@ -34,6 +34,14 @@ class DimensionTooSmallError(ValueError):
     """Complement duality needs n >= 3."""
 
 
+KEY_SIZE_MAX = 256  # the key search recurses once per vector, keeping ~k^3/3 bits
+
+
+def _check_key_size(k: int) -> None:
+    if k > KEY_SIZE_MAX:
+        raise ValueError(f"canonical keys need k <= {KEY_SIZE_MAX} vectors, got {k}")
+
+
 def is_trivially_redundant(frame: Frame) -> bool:
     """True iff the family contains the zero vector or a repeated vector."""
     encs = frame.encodings
@@ -138,6 +146,7 @@ def _min_lex_form(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
 def canonical_key(G: BinMatrix) -> CanonicalKey:
     """Canonical key of a symmetric matrix; equal keys iff the matrices
     are conjugate by a permutation matrix."""
+    _check_key_size(G.rows)
     if not G.is_symmetric():
         raise ValueError("canonical key needs a symmetric square matrix")
     bits, _ = _min_lex_form(G.row_bits)
@@ -182,14 +191,22 @@ def unitary_equivalent(F: Frame, H: Frame) -> BinMatrix | None:
 def switching_equivalent(F: Frame, H: Frame) -> tuple[BinMatrix, tuple[int, ...]] | None:
     """Witness (U, pi) with f_j = U h_pi(j) for all j, or None.
 
-    pi is a 0-based tuple. Both Grammians are aligned to their canonical
-    form; equal keys yield the permutation between them, and the unitary
-    comes from the unitary-equivalence construction applied to the
-    permuted family. The witness is verified before it is returned.
+    pi is a 0-based tuple. Grammians whose sorted (diagonal bit, row
+    weight) pairs differ are not conjugate: None at once. Otherwise both
+    are aligned to their canonical form; equal keys yield the permutation
+    between them, and the unitary comes from the unitary-equivalence
+    construction applied to the permuted family. The witness is verified
+    before it is returned.
     """
+    _check_key_size(max(F.size, H.size))
     _require_comparable(F, H)
-    bits_f, perm_f = _min_lex_form(grammian(F).row_bits)
-    bits_h, perm_h = _min_lex_form(grammian(H).row_bits)
+    rows_f, rows_h = grammian(F).row_bits, grammian(H).row_bits
+    pairs_f, pairs_h = (sorted((r >> i & 1, r.bit_count()) for i, r in enumerate(rows))
+                        for rows in (rows_f, rows_h))
+    if pairs_f != pairs_h:
+        return None
+    bits_f, perm_f = _min_lex_form(rows_f)
+    bits_h, perm_h = _min_lex_form(rows_h)
     if bits_f != bits_h:
         return None
     # pi[perm_f[i]] = perm_h[i]: both index row i of the common canonical form

@@ -6,7 +6,9 @@ products and subset filters are re-derived from scratch so the two routes
 can disagree when one is wrong.
 """
 
+from collections import Counter
 from itertools import combinations, permutations
+from math import comb
 
 
 def vec_of(enc, n):
@@ -269,3 +271,36 @@ def orbit_by_tuples(gens, encs):
                 seen.add(image)
                 orbit.append(image)
     return orbit
+
+
+def members(n):
+    """{k: number of Parseval k-subsets of the nonzero vectors of Z_2^n},
+    for every k, by a character sum with no enumeration.
+
+    S = I is d = n(n+1)/2 linear conditions on a subset T, so its indicator
+    is 2^-d sum_y (-1)^(sum_i y_ii) prod_{v in T} (-1)^q(v), where y runs
+    over the bits y_ij, i <= j, and q(v) = sum y_ij v_i v_j. Summed over
+    the k-subsets, the product is [z^k] (1+z)^a (1-z)^b, with b the number
+    of nonzero v with q(v) = 1 and a = 2^n - 1 - b. A Gray code over y
+    keeps q's truth table as one int: one XOR and one popcount per step.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    # monomial[t] is the truth table of v_i v_j: bit v set when v has both
+    monomial = [sum(1 << v for v in range(1 << n) if v >> i & 1 and v >> j & 1)
+                for i, j in pairs]
+    groups = Counter({(0, 0): 1})  # (trace parity, b) -> number of y
+    table = trace = 0
+    for step in range(1, 1 << len(pairs)):
+        t = (step & -step).bit_length() - 1  # the bit where Gray codes step
+        table ^= monomial[t]
+        trace ^= pairs[t][0] == pairs[t][1]
+        groups[trace, table.bit_count()] += 1
+    full = (1 << n) - 1
+    out = {}
+    for k in range(full + 1):
+        total = sum((-1) ** tr * count * sum((-1) ** j * comb(full - b, k - j) * comb(b, j)
+                                             for j in range(min(b, k) + 1))
+                    for (tr, b), count in groups.items())
+        out[k], rest = divmod(total, 1 << len(pairs))
+        assert rest == 0, (n, k, total)
+    return out

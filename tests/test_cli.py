@@ -10,7 +10,7 @@ import binframes.equivalence
 from binframes.cli import run
 from binframes.enumeration import enumerate_parseval
 from binframes.equivalence import canonical_key
-from binframes.frames import grammian
+from binframes.frames import Frame, grammian
 
 
 def out_lines(capsys):
@@ -125,6 +125,29 @@ def test_parseval_check_refuses_short_families_before_the_identity(package_env):
         preexec_fn=_cap_memory)
     assert time.perf_counter() - t0 < 1.0
     assert proc.returncode == 2 and "Parseval" in proc.stderr
+
+
+def test_keys_refuse_large_frames_before_the_grammian(package_env):
+    # in a child capped at 512 MB: unbounded, gram on 60,000 vectors builds
+    # a 450 MB Grammian, and the switching search on this self-equivalent
+    # Parseval frame of 1006 vectors recurses past the stack limit
+    big = "6; 1,2,4,8,16,32," + ",".join(["3"] * 1000)
+    for argv in (["gram", "3; " + ",".join(["1"] * 257)],
+                 ["gram", "3; " + ",".join(["1"] * 60000)],
+                 ["equiv", big, big, "--mode", "switching"]):
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "binframes.cli", *argv],
+            capture_output=True, text=True, env=package_env, timeout=10,
+            preexec_fn=_cap_memory)
+        assert time.perf_counter() - t0 < 1.0, argv[0]
+        assert proc.returncode == 2 and "k <= 256" in proc.stderr, argv[0]
+
+
+def test_keys_at_the_size_bound_are_computed():
+    assert binframes.equivalence.KEY_SIZE_MAX == 256
+    frame = Frame(3, (1,) * 256)
+    assert str(canonical_key(grammian(frame))).startswith("k256:")
 
 
 def test_enumerate_command(capsys):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import os
 from collections import Counter
@@ -16,8 +17,8 @@ from binframes.frames import Frame, grammian, is_parseval
 from binframes.gf2 import BinMatrix, BinVector, is_unitary, mat_vec
 
 from oracles import (automorphism_count, classes_by_member_keys,
-                     orbit_by_tuples, orthogonal_group_order,
-                     parseval_subsets_bruteforce)
+                     is_parseval_naive, members, orbit_by_tuples,
+                     orthogonal_group_order, parseval_subsets_bruteforce)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "golden",
                       "reference_classes.tsv")
@@ -73,7 +74,7 @@ def test_coset_walk_equals_search():
     # the two engines share only the packed masks: kernel and weight
     # planes on one side, depth-first search and tail tables on the other
     def walked(n, k):
-        return [enumeration._encs(w) for w in enumeration._walk(n, k)]
+        return [enumeration._subset(n, i) for i in enumeration._walk(n, k)]
 
     for n in (1, 2, 3, 4):
         for k in range(n, 1 << n):
@@ -83,8 +84,8 @@ def test_coset_walk_equals_search():
 
 
 def test_coset_dimension_and_n5_bucket_sizes():
-    for n, d in ((1, 0), (2, 0), (3, 1), (4, 5), (5, 16)):
-        assert len(enumeration._coset(n)[0]) == d
+    for n, d in ((1, 0), (2, 0), (3, 1), (4, 5), (5, 16), (6, 42)):
+        assert len(enumeration._coset(n).basis) == d
     sizes = {k: len(enumeration._walk(5, k)) for k in range(5, 32)}
     assert [sizes[k] for k in range(5, 16)] == [
         6, 26, 80, 240, 610, 1342, 2592, 4320, 6300, 8100, 9152]
@@ -167,14 +168,41 @@ def test_orbit_generators_generate_the_orthogonal_group():
         assert len(group) == orthogonal_group_order(n), n
 
 
-def test_generator_byte_tables_agree_with_vector_tables():
-    for n in range(1, 7):
-        size = ((1 << n) + 7) // 8
-        for g, images in enumeration._generators(n):
-            assert len(images) == size
-            for v in range(1 << n):
-                octets = (1 << v).to_bytes(size, "little")
-                assert sum(images[j][x] for j, x in enumerate(octets)) == 1 << g[v]
+@st.composite
+def coordinates(draw, min_n=1):
+    """(n, a coset coordinate of Z_2^n), n <= 6: one Parseval subset."""
+    n = draw(st.integers(min_n, 6))
+    return n, draw(st.integers(0, (1 << len(enumeration._coset(n).basis)) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coordinates())
+def test_coordinates_round_trip_through_parseval_words(point):
+    n, i = point
+    coset = enumeration._coset(n)
+    word = enumeration._apply(coset.word, i)
+    assert enumeration._apply(coset.index, word) == i
+    assert is_parseval_naive(enumeration._encs(word), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coordinates())
+def test_generator_byte_tables_agree_with_vector_tables(point):
+    # each generator's coordinate map, decoded, is its vector table applied
+    # to the decoded subset
+    n, i = point
+    coset = enumeration._coset(n)
+    for g, maps in enumeration._generators(n):
+        moved = enumeration._word(g[v] for v in enumeration._subset(n, i))
+        assert enumeration._apply(coset.word, enumeration._apply(maps, i)) == moved
+
+
+@settings(max_examples=200, deadline=None)
+@given(coordinates(min_n=3))
+def test_complement_is_one_xor_on_coordinates(point):
+    n, i = point
+    rest = set(range(1, 1 << n)) - set(enumeration._subset(n, i))
+    assert enumeration._subset(n, i ^ enumeration._coset(n).flip) == tuple(sorted(rest))
 
 
 def test_word_sweep_equals_tuple_sweep():
@@ -183,9 +211,9 @@ def test_word_sweep_equals_tuple_sweep():
     checked = 0
     for n, k in sizes + [(6, 6), (6, 7)]:
         gens = [g for g, _ in enumeration._generators(n)]
-        for word, _, orbit in enumeration._classes(n, k)[1]:
-            want = orbit_by_tuples(gens, enumeration._encs(word))
-            assert [enumeration._encs(w) for w in orbit] == want, (n, k)
+        for i, _, orbit in enumeration._classes(n, k)[1]:
+            want = orbit_by_tuples(gens, enumeration._subset(n, i))
+            assert [enumeration._subset(n, m) for m in orbit] == want, (n, k)
             checked += 1
     assert checked == 18 + 1 + 2  # n <= 5, then n = 6 at k = 6 and 7
 
@@ -197,13 +225,6 @@ def subsets(draw):
     return n, tuple(sorted(draw(st.sets(st.integers(1, (1 << n) - 1)))))
 
 
-@st.composite
-def equal_size_pairs(draw):
-    n, a = draw(subsets())
-    b = draw(st.sets(st.integers(1, (1 << n) - 1), min_size=len(a), max_size=len(a)))
-    return n, a, tuple(sorted(b))
-
-
 @settings(max_examples=300, deadline=None)
 @given(subsets())
 def test_words_decode_to_their_encodings(sub):
@@ -213,14 +234,22 @@ def test_words_decode_to_their_encodings(sub):
     assert enumeration._encs(word) == encs
 
 
-@settings(max_examples=300, deadline=None)
-@given(equal_size_pairs())
-def test_reversed_word_order_is_lex_order(pair):
-    n, a, b = pair
-    key = enumeration._lex_key(n)
-    ka, kb = key(enumeration._word(a)), key(enumeration._word(b))
-    assert (ka > kb) == (a < b)
-    assert (ka == kb) == (a == b)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.integers(0, (1 << len(enumeration._coset(n).basis)) - 1), min_size=2, max_size=40))))
+def test_reversed_word_order_is_lex_order(drawn):
+    # lex keys of coset coordinates against the tuples, within each size
+    n, coords = drawn
+    lex = enumeration._coset(n).lex
+    by_size = {}
+    for i in coords:
+        encs = enumeration._subset(n, i)
+        by_size.setdefault(len(encs), []).append((enumeration._apply(lex, i), encs))
+    for group in by_size.values():
+        for ka, a in group:
+            for kb, b in group:
+                assert (ka > kb) == (a < b)
+                assert (ka == kb) == (a == b)
 
 
 def test_member_count_times_automorphisms_is_group_order():
@@ -311,13 +340,13 @@ def test_catalog_kmax_and_config_ranges():
 def test_catalog_searches_each_size_once(monkeypatch):
     # a size serves its direct row and its complement row from one search
     searched = []
-    real_words = enumeration._words
+    real_walk = enumeration._walk
 
-    def logged(n, k, workers=1):
+    def logged(n, k):
         searched.append(k)
-        return real_words(n, k, workers)
+        return real_walk(n, k)
 
-    monkeypatch.setattr(enumeration, "_words", logged)
+    monkeypatch.setattr(enumeration, "_walk", logged)
     for build, want in ((lambda: catalog(4), [4, 5, 6, 7]),
                         (lambda: catalog(3), [3]),
                         (lambda: catalog(5, config=SearchConfig(k_min=24)), [7, 6, 5])):
@@ -369,9 +398,14 @@ def test_deep_n5_searches_equal_complements_of_shallow_ones():
 CATALOG_5_SHA256 = "eb02244c6b63e8f394d52d460ed61ecb98b4faa38309d4561947603ca8dd67cc"
 
 
+@functools.lru_cache(maxsize=None)
+def catalog_by_route(n, shortcut):
+    """The lines of `binframes catalog n`, through the shortcut or directly."""
+    return tuple(catalog_lines(catalog(n, config=SearchConfig(use_complement_shortcut=shortcut))))
+
+
 def test_full_catalog_5_is_pinned():
-    shortcut = catalog_lines(catalog(5))
-    direct = catalog_lines(catalog(5, config=SearchConfig(use_complement_shortcut=False)))
+    shortcut, direct = catalog_by_route(5, True), catalog_by_route(5, False)
     assert shortcut == direct
     data = "".join(line + "\n" for line in shortcut).encode()
     assert hashlib.sha256(data).hexdigest() == CATALOG_5_SHA256
@@ -380,6 +414,22 @@ def test_full_catalog_5_is_pinned():
         1, 2, 3, 3, 6, 11, 16, 22, 27, 31, 34, 34, 31, 27, 22, 16, 11, 6, 3, 3, 2, 1]
     assert len(shortcut) == 312
     assert sum(int(line.split("\t")[-1]) for line in shortcut) == 1 << 16
+
+
+def test_member_counts_equal_character_sums():
+    # an independent route to every printed count: no subset is listed
+    for n in (3, 4, 5):
+        want = {k: m for k, m in members(n).items() if m}
+        for shortcut in (True, False):
+            got = Counter()
+            for line in catalog_by_route(n, shortcut):
+                got[int(line.split("\t")[1])] += int(line.split("\t")[-1])
+            assert got == want, (n, shortcut)
+    six = members(6)
+    assert [six[k] for k in range(6, 10)] == [32, 256, 1856, 11360]
+    assert sum(six.values()) == 1 << 42
+    for k in (6, 7):
+        assert sum(c.member_count for c in classify(6, k)) == six[k]
 
 
 def test_catalog_line_format():

@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from binframes import equivalence
 from binframes.equivalence import (CanonicalKey, DimensionTooSmallError,
                                    NotParsevalError, RepeatsPresentError,
                                    ShapeMismatchError, _min_lex_form,
@@ -397,6 +398,29 @@ def test_returned_witnesses_always_verified():
     assert sorted(pi) == list(range(4))
 
 
+def test_switching_rejects_on_grammian_invariants_before_any_key_search(monkeypatch):
+    # two n = 5, k = 6 classes whose sorted (diagonal, row weight) pairs differ
+    a, b = fr(5, 1, 2, 12, 20, 24, 28), fr(5, 3, 5, 9, 17, 30, 31)
+
+    def no_search(rows):
+        raise AssertionError("the key search ran")
+
+    monkeypatch.setattr(equivalence, "_min_lex_form", no_search)
+    assert switching_equivalent(a, b) is None
+
+
+def test_switching_with_equal_invariants_still_searches(monkeypatch):
+    # two n = 5, k = 13 classes that the invariants cannot tell apart
+    a = fr(5, 1, 2, 3, 4, 5, 9, 10, 13, 18, 19, 23, 25, 31)
+    b = fr(5, 1, 2, 3, 4, 5, 9, 10, 13, 22, 24, 28, 29, 31)
+    searched = []
+    real = equivalence._min_lex_form
+    monkeypatch.setattr(equivalence, "_min_lex_form",
+                        lambda rows: searched.append(rows) or real(rows))
+    assert switching_equivalent(a, b) is None
+    assert len(searched) == 2
+
+
 # Each internal check in the package is forced to fail under python -O,
 # which strips assert statements; every one must still raise.
 OPTIMIZED_CHECKS = """
@@ -427,31 +451,34 @@ results.append(raises(lambda: bf.compute_dual(F)))
 en.is_unitary = lambda U: False
 results.append(raises(lambda: en._generators(3)))
 en.is_unitary = eq.is_unitary
-real_generators, real_words = en._generators, en._words
+real_generators, real_walk = en._generators, en._walk
 en._generators = lambda n: real_generators(n)[:n - 1]
 results.append(raises(lambda: bf.classify(4, 4)))
 en._generators = real_generators
-en._words = lambda n, k, workers=1: real_words(n, k, workers)[1:] * 2
+en._walk = lambda n, k: real_walk(n, k)[1:] * 2
 results.append(raises(lambda: bf.classify(4, 4)))
-en._words = lambda n, k, workers=1: real_words(n, k, workers) * 2
+en._walk = lambda n, k: real_walk(n, k) * 2
 results.append(raises(lambda: bf.classify(4, 4)))
-en._words = real_words
+en._walk = real_walk
 # complements of one class passed twice; a class whose member count is not
 # its complement's orbit size
 cls = bf.classify(4, 4)[0]
 results.append(raises(lambda: en._complemented_classes(4, [cls, cls])))
 wrong = bf.SwitchingClass(cls.key, cls.representative, cls.member_count + 1)
 results.append(raises(lambda: en._complemented_classes(4, [wrong])))
-# a coset past n = 5; masks whose kernel has the wrong dimension; a coset
-# whose particular word lacks vector 1
-results.append(raises(lambda: en._coset(6)))
+# weight planes past n = 5; masks whose kernel has the wrong dimension
+# (uncached); a coset whose words all lack vector 1; a coset whose
+# coordinates are all off by one, so that every generator map is wrong
+results.append(raises(lambda: en._planes(6)))
 real_masks, real_coset = en._masks, en._coset
 en._masks = lambda n: ([0] * (1 << n), 0)
-results.append(raises(lambda: en._coset(3)))
+results.append(raises(lambda: en._coset.__wrapped__(3)))
 en._masks = real_masks
-basis, particular, *rest = real_coset(4)
-en._coset = lambda n: (basis, particular ^ 0b10, *rest)
+coset = real_coset(4)
+en._coset = lambda n: coset._replace(word=([w ^ 0b10 for w in coset.word[0]], *coset.word[1:]))
 results.append(raises(lambda: en._walk(4, 4)))
+en._coset = lambda n: coset._replace(index=([i ^ 1 for i in coset.index[0]], *coset.index[1:]))
+results.append(raises(lambda: en._generators.__wrapped__(4)))
 en._coset = real_coset
 print(results)
 """
@@ -461,4 +488,4 @@ def test_internal_checks_raise_under_optimize(package_env):
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
                           capture_output=True, text=True, env=package_env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str([True] * 13)
+    assert proc.stdout.strip() == str([True] * 14)
