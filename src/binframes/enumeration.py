@@ -320,7 +320,8 @@ def _iter_encodings(n: int, k: int, workers: int = 1) -> Iterator[tuple[int, ...
     """
     _check_search(n, k)
     if n <= 5:
-        yield from map(_encs, map(functools.partial(_apply, _coset(n).word), _walk(n, k)))
+        w0, w1 = _coset(n).word
+        yield from (_encs(w0[i & 0xFF] ^ w1[i >> 8]) for i in _walk(n, k))
         return
     full = (1 << n) - 1
     if workers <= 1:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .gf2 import BinMatrix, BinVector, inverse, mat_mul, rank, select_basis
+from .gf2 import (BinMatrix, BinVector, _independent, _outer_rows, inverse,
+                  mat_mul, rank)
 
 
 @dataclass(frozen=True)
@@ -27,10 +28,12 @@ class Frame:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
-        limit = 1 << self.dim
+        union = 0  # negative iff an encoding is; its bit length is the largest
         for e in self.encodings:
-            if not 0 <= e < limit:
-                raise ValueError(f"encoding {e} out of range for Z_2^{self.dim}")
+            union |= e
+        if union < 0 or union.bit_length() > self.dim:
+            e = next(e for e in self.encodings if e < 0 or e.bit_length() > self.dim)
+            raise ValueError(f"encoding {e} out of range for Z_2^{self.dim}")
 
     @classmethod
     def from_encodings(cls, dim: int, encodings: Sequence[int]) -> "Frame":
@@ -102,9 +105,20 @@ def frame_operators(frame: Frame) -> FrameOperators:
 
 
 def grammian(frame: Frame) -> BinMatrix:
-    """The k x k Grammian; entry (i, j) is (f_j, f_i)."""
-    theta = frame.analysis_matrix()
-    return mat_mul(theta, theta.transpose())
+    """The k x k Grammian; entry (i, j) is (f_j, f_i).
+
+    G = sum(c c^T) over the columns c of the analysis matrix, keyed by
+    their bit, so the cost follows the set bits and not n."""
+    cols: dict[int, int] = {}
+    bit = 1
+    for f in frame.encodings:
+        while f:
+            low = f & -f
+            cols[low] = cols.get(low, 0) | bit
+            f ^= low
+        bit <<= 1
+    return BinMatrix(frame.size, frame.size,
+                     tuple(_outer_rows(zip(cols.values(), cols.values()), frame.size)))
 
 
 def is_frame(frame: Frame) -> bool:
@@ -113,14 +127,13 @@ def is_frame(frame: Frame) -> bool:
 
 
 def is_parseval(frame: Frame) -> bool:
-    """True iff the frame operator S = synthesis * analysis equals the
-    identity; the matrix route costs O(k n^2) words. S has rank at most k,
-    so fewer than n vectors are refused before any matrix is built."""
+    """True iff the frame operator S = sum(f_j f_j^T) equals the identity;
+    one XOR per set bit of the f_j. S has rank at most k, so fewer than n
+    vectors are refused before any row is built."""
     if frame.size < frame.dim:
         return False
-    theta = frame.analysis_matrix()
-    S = mat_mul(theta.transpose(), theta)
-    return all(row == 1 << i for i, row in enumerate(S.row_bits))
+    S = _outer_rows(zip(frame.encodings, frame.encodings), frame.dim)
+    return all(row == 1 << i for i, row in enumerate(S))
 
 
 def compute_dual(frame: Frame) -> Optional[tuple[BinVector, ...]]:
@@ -131,18 +144,18 @@ def compute_dual(frame: Frame) -> Optional[tuple[BinVector, ...]]:
     columns of the inverse of the n x n basis submatrix (the dual basis).
     Returns None when the family is not a frame.
     """
-    n = frame.dim
-    basis_idx = select_basis(list(frame.vectors), n)
-    if basis_idx is None:
+    n, encs = frame.dim, frame.encodings
+    basis = _independent(encs, n)
+    if len(basis) < n:
         return None
-    sub = BinMatrix(n, n, tuple(frame.encodings[i - 1] for i in basis_idx))
-    inv = inverse(sub)
+    # the inverse of the basis submatrix's transpose holds the duals as rows
+    sub_t = _outer_rows(((1 << c, encs[i]) for c, i in enumerate(basis)), n)
+    inv = inverse(BinMatrix(n, n, tuple(sub_t)))
     if inv is None:
         raise RuntimeError("basis submatrix of a spanning family is singular")
-    inv_t = inv.transpose()
     duals = [BinVector(n, 0)] * frame.size
-    for col, i in enumerate(basis_idx):
-        duals[i - 1] = inv_t.row(col)
+    for i, g in zip(basis, inv.row_bits):
+        duals[i] = BinVector(n, g)
     if not verify_reconstruction(frame, duals):
         raise RuntimeError("constructed duals fail to reconstruct")
     return tuple(duals)
@@ -151,8 +164,9 @@ def compute_dual(frame: Frame) -> Optional[tuple[BinVector, ...]]:
 def verify_reconstruction(frame: Frame, duals: Sequence[BinVector]) -> bool:
     """True iff y = sum((y, d_j) f_j) for every y in Z_2^n.
 
-    By bilinearity it suffices to check the n standard basis vectors; the
-    full sweep over 2^n vectors is only used as a test oracle.
+    By bilinearity it suffices to check the n standard basis vectors, so
+    only the nonzero duals are read; the full sweep over 2^n vectors is
+    only used as a test oracle.
     """
     if len(duals) != frame.size:
         raise ValueError(
@@ -161,15 +175,11 @@ def verify_reconstruction(frame: Frame, duals: Sequence[BinVector]) -> bool:
     for d in duals:
         if d.dim != n:
             raise ValueError(f"dual of dimension {d.dim} against Z_2^{n}")
-    for i in range(n):
-        e = 1 << i
-        acc = 0
-        for f, d in zip(frame.encodings, duals):
-            if (e & d.bits).bit_count() & 1:
-                acc ^= f
-        if acc != e:
-            return False
-    return True
+    pairs = [(f, d.bits) for f, d in zip(frame.encodings, duals) if d.bits]
+    if len(pairs) < n:  # the sum has rank at most len(pairs)
+        return False
+    images = _outer_rows(pairs, n)
+    return all(image == 1 << i for i, image in enumerate(images))
 
 
 def parseval_identity_holds(frame: Frame) -> bool:
@@ -217,11 +227,5 @@ def shift_matrix(n: int) -> BinMatrix:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    rows = []
-    for i in range(1, n + 1):
-        word = 0
-        for j in range(1, n + 1):
-            if (i == 1 and j == 1) or j - i == 1:
-                word |= 1 << (j - 1)
-        rows.append(word)
-    return BinMatrix(n, n, tuple(rows))
+    # row i < n is e_{i+1}, plus e_1 in row 1
+    return BinMatrix(n, n, (3,) + tuple(1 << i for i in range(2, n)) + (0,))

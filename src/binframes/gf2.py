@@ -19,6 +19,18 @@ def _parity(word: int) -> int:
     return word.bit_count() & 1
 
 
+def _outer_rows(pairs: Iterable[tuple[int, int]], n: int) -> list[int]:
+    """The n rows of sum(a b^T) over the pairs (a, b): row i is the XOR of
+    the a whose b has bit i set, so each set bit of a b costs one XOR."""
+    rows = [0] * n
+    for a, b in pairs:
+        while b:
+            low = b & -b
+            rows[low.bit_length() - 1] ^= a
+            b ^= low
+    return rows
+
+
 @dataclass(frozen=True)
 class BinVector:
     """Element of Z_2^n packed into an int (coordinate i at bit i-1)."""
@@ -29,7 +41,7 @@ class BinVector:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"vector dimension must be positive, got {self.dim}")
-        if not 0 <= self.bits < (1 << self.dim):
+        if self.bits < 0 or self.bits.bit_length() > self.dim:
             raise ValueError(
                 f"encoding {self.bits} out of range for dimension {self.dim}")
 
@@ -37,11 +49,7 @@ class BinVector:
     def from_coords(cls, coords: Iterable[int]) -> "BinVector":
         """Build from coordinates (a_1, ..., a_n), values taken mod 2."""
         coords = list(coords)
-        bits = 0
-        for i, c in enumerate(coords):
-            if c & 1:
-                bits |= 1 << i
-        return cls(len(coords), bits)
+        return cls(len(coords), sum(1 << i for i, c in enumerate(coords) if c & 1))
 
     def coords(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.dim))
@@ -87,10 +95,12 @@ class BinMatrix:
         if len(self.row_bits) != self.rows:
             raise ValueError(
                 f"expected {self.rows} rows, got {len(self.row_bits)}")
-        limit = 1 << self.cols
+        union = 0  # negative iff a word is; its bit length is the largest
         for r in self.row_bits:
-            if not 0 <= r < limit:
-                raise ValueError(f"row word {r} out of range for {self.cols} columns")
+            union |= r
+        if union < 0 or union.bit_length() > self.cols:
+            r = next(r for r in self.row_bits if r < 0 or r.bit_length() > self.cols)
+            raise ValueError(f"row word {r} out of range for {self.cols} columns")
 
     @classmethod
     def identity(cls, n: int) -> "BinMatrix":
@@ -105,16 +115,10 @@ class BinMatrix:
         rows = [list(r) for r in entries]
         if cols is None:
             cols = len(rows[0]) if rows else 0
-        packed = []
-        for r in rows:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            word = 0
-            for j, e in enumerate(r):
-                if e & 1:
-                    word |= 1 << j
-            packed.append(word)
-        return cls(len(rows), cols, tuple(packed))
+        if any(len(r) != cols for r in rows):
+            raise ValueError("ragged rows")
+        return cls(len(rows), cols,
+                   tuple(sum(1 << j for j, e in enumerate(r) if e & 1) for r in rows))
 
     @classmethod
     def from_row_encodings(cls, rows: int, cols: int,
@@ -137,14 +141,10 @@ class BinMatrix:
         return [[(r >> j) & 1 for j in range(self.cols)] for r in self.row_bits]
 
     def transpose(self) -> "BinMatrix":
-        cols = []
-        for j in range(self.cols):
-            word = 0
-            for i, r in enumerate(self.row_bits):
-                if (r >> j) & 1:
-                    word |= 1 << i
-            cols.append(word)
-        return BinMatrix(self.cols, self.rows, tuple(cols))
+        """The sum of e_i r_i^T over the rows r_i: one XOR per set entry."""
+        units = (1 << i for i in range(self.rows))
+        return BinMatrix(self.cols, self.rows,
+                         tuple(_outer_rows(zip(units, self.row_bits), self.cols)))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -201,28 +201,26 @@ def mat_mul(A: BinMatrix, B: BinMatrix) -> BinMatrix:
     return BinMatrix(A.rows, B.cols, tuple(out))
 
 
-def rank(A: BinMatrix) -> int:
-    """GF(2) row rank by Gaussian elimination.
+def _independent(words: Iterable[int], limit: int) -> list[int]:
+    """0-based indices of the words independent of the words before them,
+    by greedy elimination, stopping once `limit` are found. Pivots are
+    keyed by their top bit: one XOR per pivot a word meets."""
+    pivots: dict[int, int] = {}
+    chosen: list[int] = []
+    for idx, w in enumerate(words):
+        while w and (top := w.bit_length()) in pivots:
+            w ^= pivots[top]
+        if w:
+            pivots[top] = w
+            chosen.append(idx)
+            if len(chosen) == limit:
+                break
+    return chosen
 
-    Pivots are chosen at the lowest row index, lowest column index, so the
-    elimination order is deterministic.
-    """
-    rows = list(A.row_bits)
-    m = len(rows)
-    r = 0
-    for c in range(A.cols):
-        mask = 1 << c
-        piv = next((i for i in range(r, m) if rows[i] & mask), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(m):
-            if i != r and rows[i] & mask:
-                rows[i] ^= rows[r]
-        r += 1
-        if r == m:
-            break
-    return r
+
+def rank(A: BinMatrix) -> int:
+    """GF(2) row rank: the number of rows independent of those before."""
+    return len(_independent(A.row_bits, A.cols))
 
 
 def inverse(A: BinMatrix) -> Optional[BinMatrix]:
@@ -236,25 +234,28 @@ def inverse(A: BinMatrix) -> Optional[BinMatrix]:
     n = A.rows
     # augmented rows: original bits in the low n positions, identity above
     aug = [A.row_bits[i] | (1 << (n + i)) for i in range(n)]
-    r = 0
     for c in range(n):
         mask = 1 << c
-        piv = next((i for i in range(r, n) if aug[i] & mask), None)
-        if piv is None:
+        for piv in range(c, n):
+            if aug[piv] & mask:
+                break
+        else:
             return None
-        aug[r], aug[piv] = aug[piv], aug[r]
+        row = aug[piv]
+        aug[piv], aug[c] = aug[c], row
         for i in range(n):
-            if i != r and aug[i] & mask:
-                aug[i] ^= aug[r]
-        r += 1
-    return BinMatrix(n, n, tuple(row >> n for row in aug))
+            if i != c and aug[i] & mask:
+                aug[i] ^= row
+    return BinMatrix(n, n, tuple([row >> n for row in aug]))
 
 
 def is_unitary(U: BinMatrix) -> bool:
-    """True iff U*U = I; squareness then forces invertibility."""
+    """True iff U*U = I; squareness then forces invertibility. U*U is the
+    sum of r r^T over the rows r of U, summed on the words."""
     if not U.is_square():
         raise ValueError(f"unitarity of non-square {U.rows}x{U.cols} matrix")
-    return all(row == 1 << i for i, row in enumerate(mat_mul(U.transpose(), U).row_bits))
+    UU = _outer_rows(zip(U.row_bits, U.row_bits), U.rows)
+    return all(row == 1 << i for i, row in enumerate(UU))
 
 
 def select_basis(vectors: list[BinVector], dim: int) -> Optional[list[int]]:
@@ -264,18 +265,10 @@ def select_basis(vectors: list[BinVector], dim: int) -> Optional[list[int]]:
     indices (matching the coordinate convention) once dim independent
     vectors are found, or None when the family does not span.
     """
-    pivots: list[tuple[int, int]] = []  # (pivot bit, reduced row)
-    chosen: list[int] = []
-    for idx, v in enumerate(vectors):
-        if v.dim != dim:
-            raise ValueError(f"dimension mismatch: {v.dim} vs {dim}")
-        w = v.bits
-        for p, row in pivots:
-            if (w >> p) & 1:
-                w ^= row
-        if w:
-            pivots.append(((w & -w).bit_length() - 1, w))
-            chosen.append(idx + 1)
-            if len(chosen) == dim:
-                return chosen
-    return None
+    def words():
+        for v in vectors:
+            if v.dim != dim:
+                raise ValueError(f"dimension mismatch: {v.dim} vs {dim}")
+            yield v.bits
+    chosen = _independent(words(), dim)
+    return [i + 1 for i in chosen] if len(chosen) == dim > 0 else None

@@ -138,6 +138,51 @@ def reconstruction_sweep_naive(encs, duals, n):
     return True
 
 
+def basis_naive(encs, n):
+    """1-based indices of the vectors independent of those before them,
+    once n are found, or None; elimination on coordinate lists."""
+    pivots = []  # (first nonzero column, reduced row)
+    chosen = []
+    for idx, e in enumerate(encs):
+        v = vec_of(e, n)
+        for c, row in pivots:
+            if v[c]:
+                v = [(a + b) % 2 for a, b in zip(v, row)]
+        if any(v):
+            pivots.append((v.index(1), v))
+            chosen.append(idx + 1)
+            if len(chosen) == n:
+                return chosen
+    return None
+
+
+def duals_naive(encs, n):
+    """Duals by the basis-inverse route: on basis_naive's subset, the
+    columns of the inverse basis submatrix; zero elsewhere. None when the
+    family does not span."""
+    idx = basis_naive(encs, n)
+    if idx is None:
+        return None
+    inv = inverse_naive([vec_of(encs[i - 1], n) for i in idx])
+    duals = [0] * len(encs)
+    for col, i in enumerate(idx):
+        duals[i - 1] = enc_of([inv[r][col] for r in range(n)])
+    return duals
+
+
+def reconstructs_naive(encs, duals, n):
+    """y = sum((y, d_j) f_j) for the n standard basis vectors y."""
+    for i in range(n):
+        e = [int(j == i) for j in range(n)]
+        acc = [0] * n
+        for f, d in zip(encs, duals):
+            if dot_naive(e, vec_of(d, n)):
+                acc = [(a + b) % 2 for a, b in zip(acc, vec_of(f, n))]
+        if acc != e:
+            return False
+    return True
+
+
 def upper_tri_string(G, perm):
     k = len(G)
     return tuple(G[perm[i]][perm[j]] for i in range(k) for j in range(i, k))

@@ -127,6 +127,23 @@ def test_parseval_check_refuses_short_families_before_the_identity(package_env):
     assert proc.returncode == 2 and "Parseval" in proc.stderr
 
 
+def test_huge_dimensions_cost_what_their_words_cost(package_env):
+    # in a child capped at 512 MB: validation reads bit lengths, rank and
+    # the dual's elimination see only the one word, and the Grammian
+    # follows the set bits, so none of them builds a 2^n int or walks n
+    key = canonical_key(grammian(Frame(2, (1, 2))))
+    for argv, code, out in ((["verify", "99999999999; 1"], 1, "frame: no\n"),
+                            (["dual", "99999999999; 1"], 1, "NOT-SPANNING\n"),
+                            (["gram", "1000000000; 1,2"], 0, f"10\n01\nkey: {key}\n")):
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "binframes.cli", *argv],
+            capture_output=True, text=True, env=package_env, timeout=10,
+            preexec_fn=_cap_memory)
+        assert time.perf_counter() - t0 < 1.0, argv[0]
+        assert (proc.returncode, proc.stdout) == (code, out), argv[0]
+
+
 def test_keys_refuse_large_frames_before_the_grammian(package_env):
     # in a child capped at 512 MB: unbounded, gram on 60,000 vectors builds
     # a 450 MB Grammian, and the switching search on this self-equivalent

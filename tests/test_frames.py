@@ -9,11 +9,12 @@ from binframes.frames import (Frame, compute_dual, format_frame,
                               is_parseval, parse_frame,
                               parseval_identity_holds, shift_matrix,
                               verify_reconstruction, weight_two_family)
-from binframes.gf2 import BinMatrix, BinVector, mat_mul, rank
+from binframes.gf2 import BinMatrix, BinVector, mat_mul, rank, select_basis
 
-from oracles import (frame_G_naive, frame_S_naive, is_parseval_naive,
-                     parseval_by_sweep, rank_naive, reconstruction_sweep_naive,
-                     vec_of)
+from oracles import (basis_naive, duals_naive, frame_G_naive, frame_S_naive,
+                     is_parseval_naive, parseval_by_sweep, rank_naive,
+                     reconstructs_naive, reconstruction_sweep_naive,
+                     transpose_naive, vec_of)
 
 
 def fr(n, *encs):
@@ -229,29 +230,59 @@ def test_grammian_vs_naive_oracle():
 
 
 @st.composite
-def large_families(draw):
-    """(n, encodings) with n <= 8 and up to 30 vectors. Half are Parseval
-    by construction: a basis plus vectors that occur in pairs, whose
-    rank-one contributions to S cancel."""
-    n = draw(st.integers(1, 8))
-    vec = st.integers(0, (1 << n) - 1)
+def families(draw, n_range, max_size, max_pairs):
+    """(n, encodings) for n in n_range. Half are arbitrary: up to max_size
+    vectors, zero vectors likely, the last up to three of them repeats, in
+    any order; so k < n and the empty family occur. Half are Parseval by
+    construction: a permuted basis plus up to max_pairs(n) vectors that
+    occur twice, whose rank-one contributions to S cancel."""
+    n = draw(n_range)
+    vec = st.just(0) | st.integers(0, (1 << n) - 1)
     if draw(st.booleans()):
-        return n, draw(st.lists(vec, max_size=30))
-    pairs = draw(st.lists(vec, max_size=(30 - n) // 2))
+        encs = draw(st.lists(vec, max_size=max_size - 3))
+        repeats = draw(st.lists(st.sampled_from(encs), max_size=3)) if encs else []
+        return n, draw(st.permutations(encs + repeats))
+    pairs = draw(st.lists(vec, max_size=max_pairs(n)))
     return n, draw(st.permutations([1 << i for i in range(n)] + pairs + pairs))
 
 
-@settings(max_examples=300, deadline=None)
-@given(large_families())
-def test_kernels_match_naive_oracles_up_to_k30(family):
-    n, encs = family
+def check_kernels(n, encs):
+    """Every frame kernel against its naive route, and the out-of-range
+    messages of Frame, BinVector and BinMatrix."""
     f = Frame.from_encodings(n, encs)
+    rows = [vec_of(e, n) for e in encs]
+    theta = f.analysis_matrix()
+    assert theta.transpose().to_lists() == (transpose_naive(rows) or [[]] * n)
+    r = rank_naive(rows)
+    assert rank(theta) == r and is_frame(f) == (r == n)
+    assert select_basis(list(f.vectors), n) == basis_naive(encs, n)
     assert grammian(f).to_lists() == frame_G_naive(encs, n)
     assert is_parseval(f) == is_parseval_naive(encs, n)
     assert frame_operators(f).frame_op.to_lists() == frame_S_naive(encs, n)
-    with pytest.raises(ValueError,
-                       match=rf"^encoding {1 << n} out of range for Z_2\^{n}$"):
-        Frame(n, (1 << n,))
+    duals, want = compute_dual(f), duals_naive(encs, n)
+    assert (None if duals is None else [d.bits for d in duals]) == want
+    assert want is None or reconstructs_naive(encs, want, n)
+    for word in (-1, 1 << n):
+        # the first offending word is named, whatever follows it
+        bad = tuple(encs) + (word, 1 << (n + 1))
+        with pytest.raises(ValueError, match=rf"^encoding {word} out of range for Z_2\^{n}$"):
+            Frame(n, bad)
+        with pytest.raises(ValueError, match=rf"^row word {word} out of range for {n} columns$"):
+            BinMatrix(len(bad), n, bad)
+        with pytest.raises(ValueError, match=rf"^encoding {word} out of range for dimension {n}$"):
+            BinVector(n, word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(families(st.integers(1, 8), 30, lambda n: (30 - n) // 2))
+def test_kernels_match_naive_oracles_up_to_k30(family):
+    check_kernels(*family)
+
+
+@settings(max_examples=40, deadline=None)
+@given(families(st.integers(65, 68), 12, lambda n: 2))
+def test_kernels_match_naive_oracles_on_words_wider_than_64_bits(family):
+    check_kernels(*family)
 
 
 def test_empty_family_is_degenerate_not_an_error():
