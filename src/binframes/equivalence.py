@@ -74,6 +74,40 @@ class CanonicalKey:
         return cls(size, bytes(out))
 
 
+def _children(rows: tuple[int, ...], diag: list[int], cells: list[list[int]]) -> list[tuple]:
+    """(row, v, cells) for each child of a key-search node, sorted by (row, v):
+    v comes from the first cell, every cell splits by adjacency to v (zeros
+    first), and row is the one row of the upper triangle that v fixes."""
+    head = cells[0]
+    # interchangeable candidates (identical rows off their own columns)
+    # produce identical subtrees; keep the first of each group
+    cands: list[int] = []
+    for v in head:
+        for u in cands:
+            mask = ~((1 << v) | (1 << u))
+            if diag[v] == diag[u] and (rows[v] & mask) == (rows[u] & mask):
+                break
+        else:
+            cands.append(v)
+    options = []
+    for v in cands:
+        rest = [u for u in head if u != v]
+        new_cells = []
+        row = [diag[v]]
+        for cell in ([rest] if rest else []) + cells[1:]:
+            c0 = [u for u in cell if not (rows[v] >> u) & 1]
+            c1 = [u for u in cell if (rows[v] >> u) & 1]
+            if c0:
+                new_cells.append(c0)
+                row.extend([0] * len(c0))
+            if c1:
+                new_cells.append(c1)
+                row.extend([1] * len(c1))
+        options.append((row, v, new_cells))
+    options.sort(key=lambda t: (t[0], t[1]))
+    return options
+
+
 def _min_lex_form(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Minimal upper-triangle string of a symmetric bit matrix.
 
@@ -81,17 +115,12 @@ def _min_lex_form(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
     bits the row-major upper triangle of the minimum over all simultaneous
     permutations, and perm the witness: min[i][j] = G[perm[i]][perm[j]].
 
-    Backtracking over an ordered partition of the indices: the next fixed
-    index must come from the first cell, and the remaining cells refine by
-    adjacency to it (zeros first). Cells have constant adjacency to every
-    fixed index, so each step determines one whole row of the string and
-    pruning compares exact contiguous prefixes against the incumbent.
-    Candidate order is (diagonal, produced row), which lands a near-minimal
-    incumbent on the first descent.
+    Backtracking over _children's ordered partitions of the indices;
+    pruning compares exact contiguous prefixes against the incumbent, which
+    only a strictly smaller leaf replaces. Candidate order (diagonal,
+    produced row) lands a near-minimal incumbent on the first descent.
     """
     k = len(rows)
-    if k == 0:
-        return (), ()
     diag = [(rows[i] >> i) & 1 for i in range(k)]
     best: list[int] | None = None
     best_perm: tuple[int, ...] = ()
@@ -105,42 +134,37 @@ def _min_lex_form(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
                 best = list(built)
                 best_perm = tuple(fixed)
             return
-        head = cells[0]
-        # interchangeable candidates (identical rows off their own columns)
-        # produce identical subtrees; keep the first of each group
-        cands: list[int] = []
-        for v in head:
-            for u in cands:
-                mask = ~((1 << v) | (1 << u))
-                if diag[v] == diag[u] and (rows[v] & mask) == (rows[u] & mask):
-                    break
-            else:
-                cands.append(v)
-        options = []
-        for v in cands:
-            rest = [u for u in head if u != v]
-            new_cells = []
-            row = [diag[v]]
-            for cell in ([rest] if rest else []) + cells[1:]:
-                c0 = [u for u in cell if not (rows[v] >> u) & 1]
-                c1 = [u for u in cell if (rows[v] >> u) & 1]
-                if c0:
-                    new_cells.append(c0)
-                    row.extend([0] * len(c0))
-                if c1:
-                    new_cells.append(c1)
-                    row.extend([1] * len(c1))
-            options.append((row, v, new_cells))
-        options.sort(key=lambda t: (t[0], t[1]))
-        for row, v, new_cells in options:
+        for row, v, new_cells in _children(rows, diag, cells):
             fixed.append(v)
             dfs(fixed, new_cells, built + row)
             fixed.pop()
 
-    dfs([], [list(range(k))], [])
+    dfs([], [list(range(k))] if k else [], [])
     if best is None:
         raise RuntimeError("canonical form search visited no leaf")
     return tuple(best), best_perm
+
+
+def _match_form(rows: tuple[int, ...], target: tuple[int, ...]) -> tuple[int, ...] | None:
+    """perm of the first leaf, in _min_lex_form's order, whose string is
+    target, else None. dfs: True at that leaf, False when a subtree has
+    none, None at a row below target's (the minimum is then below target)."""
+    diag = [(r >> i) & 1 for i, r in enumerate(rows)]
+    want, fixed = list(target), []
+
+    def dfs(cells: list[list[int]], at: int) -> bool | None:
+        if not cells:
+            return True
+        for row, v, new_cells in _children(rows, diag, cells):
+            if row != (part := want[at:at + len(row)]):
+                return None if row < part else False
+            fixed.append(v)
+            if (found := dfs(new_cells, at + len(row))) is not False:
+                return found
+            fixed.pop()
+        return False
+
+    return tuple(fixed) if dfs([list(range(len(rows)))] if rows else [], 0) else None
 
 
 def canonical_key(G: BinMatrix) -> CanonicalKey:
@@ -164,14 +188,16 @@ def _require_comparable(F: Frame, H: Frame) -> None:
 
 
 def _unitary_witness(F: Frame, H: Frame) -> BinMatrix:
-    """U = synthesis(H) * analysis(F), checked unitary with U f_i = h_i.
-
-    Callers pass Parseval frames with equal Grammians, for which U is such
-    a witness; a failed check is a fault here, not a negative verdict.
+    """U = synthesis(H) * analysis(F), checked unitary with U f_i = h_i:
+    analysis(F) times row j of U holds coordinate j of every U f_i, one
+    word compared with row j of synthesis(H). Callers pass Parseval frames
+    with equal Grammians, for which U is such a witness; a failed check is
+    a fault here, not a negative verdict.
     """
-    U = mat_mul(H.analysis_matrix().transpose(), F.analysis_matrix())
+    synth, A = H.analysis_matrix().transpose(), F.analysis_matrix()
+    U = mat_mul(synth, A)
     if not is_unitary(U) or any(
-            mat_vec(U, f) != h for f, h in zip(F.vectors, H.vectors)):
+            mat_vec(A, U.row(j)).bits != s for j, s in enumerate(synth.row_bits)):
         raise RuntimeError("unitary witness failed its check")
     return U
 
@@ -191,12 +217,11 @@ def unitary_equivalent(F: Frame, H: Frame) -> BinMatrix | None:
 def switching_equivalent(F: Frame, H: Frame) -> tuple[BinMatrix, tuple[int, ...]] | None:
     """Witness (U, pi) with f_j = U h_pi(j) for all j, or None.
 
-    pi is a 0-based tuple. Grammians whose sorted (diagonal bit, row
-    weight) pairs differ are not conjugate: None at once. Otherwise both
-    are aligned to their canonical form; equal keys yield the permutation
-    between them, and the unitary comes from the unitary-equivalence
-    construction applied to the permuted family. The witness is verified
-    before it is returned.
+    pi is 0-based. Grammians whose sorted (diagonal bit, row weight) pairs
+    differ are not conjugate: None at once. Otherwise H's Grammian is
+    matched against F's canonical key; both leaves index one canonical
+    form, which gives pi, and U is the unitary-equivalence witness of the
+    permuted family. The witness is verified before it is returned.
     """
     _check_key_size(max(F.size, H.size))
     _require_comparable(F, H)
@@ -206,8 +231,8 @@ def switching_equivalent(F: Frame, H: Frame) -> tuple[BinMatrix, tuple[int, ...]
     if pairs_f != pairs_h:
         return None
     bits_f, perm_f = _min_lex_form(rows_f)
-    bits_h, perm_h = _min_lex_form(rows_h)
-    if bits_f != bits_h:
+    perm_h = _match_form(rows_h, bits_f)
+    if perm_h is None:
         return None
     # pi[perm_f[i]] = perm_h[i]: both index row i of the common canonical form
     pi = tuple(h for _, h in sorted(zip(perm_f, perm_h)))

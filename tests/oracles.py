@@ -3,7 +3,8 @@
 Everything here works on unpacked list-of-lists (or plain combinations
 streams) and deliberately shares no code with the package: elimination,
 products and subset filters are re-derived from scratch so the two routes
-can disagree when one is wrong.
+can disagree when one is wrong. The one exception is switching_by_two_keys,
+a superseded route of the package kept to pin its witnesses.
 """
 
 from collections import Counter
@@ -218,6 +219,49 @@ def pack_bits_msb(bits):
         if b:
             out[t >> 3] |= 0x80 >> (t & 7)
     return bytes(out)
+
+
+def switching_by_two_keys(F, H):
+    """switching_equivalent by canonizing both Grammians and comparing keys.
+
+    The route that matching H against F's key replaced, kept as its
+    reference. It reuses the package's key search and witness check, so
+    that its (U, pi) are the ones the package returned before.
+    """
+    from binframes.equivalence import (_check_key_size, _min_lex_form,
+                                       _require_comparable, _unitary_witness)
+    from binframes.frames import Frame, grammian
+    _check_key_size(max(F.size, H.size))
+    _require_comparable(F, H)
+    rows_f, rows_h = grammian(F).row_bits, grammian(H).row_bits
+    pairs_f, pairs_h = (sorted((r >> i & 1, r.bit_count()) for i, r in enumerate(rows))
+                        for rows in (rows_f, rows_h))
+    if pairs_f != pairs_h:
+        return None
+    bits_f, perm_f = _min_lex_form(rows_f)
+    bits_h, perm_h = _min_lex_form(rows_h)
+    if bits_f != bits_h:
+        return None
+    pi = tuple(h for _, h in sorted(zip(perm_f, perm_h)))
+    permuted = Frame(H.dim, tuple(H.encodings[p] for p in pi))
+    return _unitary_witness(permuted, F), pi
+
+
+def random_unitary(rng, n):
+    """A random U with U*U = I as list-of-lists: its rows are an
+    orthonormal basis (odd weights, even overlaps) drawn by backtracking."""
+    odd = [v for v in range(1, 1 << n) if bin(v).count("1") % 2]
+
+    def extend(basis):
+        if len(basis) == n:
+            return basis
+        for v in rng.sample(odd, len(odd)):
+            if all(bin(v & u).count("1") % 2 == 0 for u in basis):
+                out = extend(basis + [v])
+                if out:
+                    return out
+        return None
+    return [vec_of(r, n) for r in extend([])]
 
 
 _UNITARY_CACHE = {}

@@ -17,7 +17,8 @@ from binframes.frames import Frame, grammian, is_parseval
 from binframes.gf2 import BinMatrix, BinVector, is_unitary, mat_vec, rank
 
 from oracles import (all_unitaries, apply_matrix, min_lex_bruteforce,
-                     min_lex_bruteforce_np, pack_bits_msb, upper_tri_string)
+                     min_lex_bruteforce_np, pack_bits_msb, random_unitary,
+                     switching_by_two_keys, upper_tri_string)
 
 # reference 6-vector pair in Z_2^5: equal Grammians, and the connecting
 # unitary is the swap of the last two coordinates
@@ -409,16 +410,62 @@ def test_switching_rejects_on_grammian_invariants_before_any_key_search(monkeypa
     assert switching_equivalent(a, b) is None
 
 
+# two n = 5, k = 13 classes that the invariants cannot tell apart: matched
+# against a's key, b meets a row below it; matched against b's, a runs out
+EQUAL_INVARIANTS = (fr(5, 1, 2, 3, 4, 5, 9, 10, 13, 18, 19, 23, 25, 31),
+                    fr(5, 1, 2, 3, 4, 5, 9, 10, 13, 22, 24, 28, 29, 31))
+
+
 def test_switching_with_equal_invariants_still_searches(monkeypatch):
-    # two n = 5, k = 13 classes that the invariants cannot tell apart
-    a = fr(5, 1, 2, 3, 4, 5, 9, 10, 13, 18, 19, 23, 25, 31)
-    b = fr(5, 1, 2, 3, 4, 5, 9, 10, 13, 22, 24, 28, 29, 31)
-    searched = []
-    real = equivalence._min_lex_form
+    a, b = EQUAL_INVARIANTS
+    canonized, matched = [], []
+    real_form, real_match = equivalence._min_lex_form, equivalence._match_form
     monkeypatch.setattr(equivalence, "_min_lex_form",
-                        lambda rows: searched.append(rows) or real(rows))
+                        lambda rows: canonized.append(rows) or real_form(rows))
+    monkeypatch.setattr(equivalence, "_match_form",
+                        lambda rows, target: matched.append(rows) or real_match(rows, target))
     assert switching_equivalent(a, b) is None
-    assert len(searched) == 2
+    assert canonized == [grammian(a).row_bits]
+    assert matched == [grammian(b).row_bits]
+
+
+def image(rng, F):
+    """F under a random unitary and a random reordering."""
+    U = random_unitary(rng, F.dim)
+    return Frame.from_encodings(F.dim, [apply_matrix(U, F.encodings[p], F.dim)
+                                        for p in rng.sample(range(F.size), F.size)])
+
+
+def test_switching_witnesses_equal_the_two_key_reference():
+    # matching H against F's key must stop at the leaf whose perm the
+    # second canonization returned, so (U, pi) are the same bytes
+    from binframes.enumeration import catalog
+    rng = random.Random(27)
+    equivalent, others = [], [EQUAL_INVARIANTS]
+    for n in (3, 4, 5):
+        reps = [c.representative for row in catalog(n) for c in row.classes]
+        equivalent += reps
+        others += [(F, H) for i, F in enumerate(reps) for H in reps[i + 1:]
+                   if H.size == F.size]
+    c1, c2 = [complement(F, drop_zero=True) for F in reps if F.size == 9][:2]
+    s1, s2 = (fr(6, *F.encodings, 32) for F in EQUAL_INVARIANTS)  # sums with e_6
+    assert c1.size == 22 and s1.size == 14
+    equivalent += [c1, s1]
+    others += [(c1, c2), (s1, s2)]
+
+    def same(F, H):
+        out, ref = switching_equivalent(F, H), switching_by_two_keys(F, H)
+        assert (out is None) == (ref is None)
+        if out is not None:
+            assert (out[0].row_bits, out[1]) == (ref[0].row_bits, ref[1])
+        return out is not None
+
+    for F in equivalent:
+        H = image(rng, F)
+        assert same(F, H) and same(H, F)
+    for F, H in others:
+        same(F, H)
+        same(H, F)
 
 
 # Each internal check in the package is forced to fail under python -O,
@@ -443,6 +490,11 @@ eq.is_unitary = lambda U: False
 results += [raises(lambda: bf.unitary_equivalent(F, F)),
             raises(lambda: bf.switching_equivalent(F, F))]
 eq.is_unitary = real_is_unitary
+# H is F with its last two vectors swapped: U (the swap of e_1 and e_2) is
+# unitary, but U f_i != h_i, so only the word comparison fails
+F7, H7 = bf.parse_frame("4; 1,2,3,7,11,12,15"), bf.parse_frame("4; 1,2,3,7,11,15,12")
+U7 = eq.mat_mul(H7.analysis_matrix().transpose(), F7.analysis_matrix())
+results.append(eq.is_unitary(U7) and raises(lambda: eq._unitary_witness(F7, H7)))
 fm.verify_reconstruction = lambda frame, duals: False
 results.append(raises(lambda: bf.compute_dual(F)))
 # a generator that is not unitary; the swaps alone, whose orbits split the
@@ -488,4 +540,4 @@ def test_internal_checks_raise_under_optimize(package_env):
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
                           capture_output=True, text=True, env=package_env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str([True] * 14)
+    assert proc.stdout.strip() == str([True] * 15)
