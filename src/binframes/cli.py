@@ -28,9 +28,12 @@ def _emit(lines: list[str], out: Optional[str]) -> None:
         for line in lines:
             print(line)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                for line in lines:
+                    fh.write(line + "\n")
+        except OSError as exc:  # a usage error (exit 2), not a verdict
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _matrix_lines(M: BinMatrix) -> list[str]:

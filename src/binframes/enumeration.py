@@ -250,8 +250,9 @@ def _check_search(n: int, k: int) -> None:
     """Refuse a search over the k-subsets of Z_2^n before any table exists.
 
     Admitted: every k up to n = 5, read from the coset, and k <= 9 at
-    n = 6, searched (about 15 s at k = 9 on one worker). At n >= 7 the
-    3-subset tail table alone would hold 333,375 subsets.
+    n = 6, searched (k = 9 takes 15 to 30 s on one worker, by host; 14.5 s
+    on a 2-vCPU Xeon with Python 3.11). At n >= 7 the 3-subset tail table
+    alone would hold 333,375 subsets.
     """
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")

@@ -108,6 +108,20 @@ def _children(rows: tuple[int, ...], diag: list[int], cells: list[list[int]]) ->
     return options
 
 
+def _leaf(rows: tuple[int, ...], diag: list[int],
+          cells: list[list[int]]) -> tuple[list[int], list[int]]:
+    """(order, string) of the one leaf below a discrete partition: the
+    vertices in cell order, and the rows they fix, each its diagonal bit
+    followed by its adjacency to the vertices after it."""
+    order = [cell[0] for cell in cells]
+    string: list[int] = []
+    for i, v in enumerate(order):
+        r = rows[v]
+        string.append(diag[v])
+        string.extend([(r >> u) & 1 for u in order[i + 1:]])
+    return order, string
+
+
 def _min_lex_form(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Minimal upper-triangle string of a symmetric bit matrix.
 
@@ -119,6 +133,8 @@ def _min_lex_form(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
     pruning compares exact contiguous prefixes against the incumbent, which
     only a strictly smaller leaf replaces. Candidate order (diagonal,
     produced row) lands a near-minimal incumbent on the first descent.
+    A discrete partition (every cell a singleton) has exactly one leaf
+    below it, so its string is read off by _leaf and compared whole.
     """
     k = len(rows)
     diag = [(rows[i] >> i) & 1 for i in range(k)]
@@ -129,10 +145,11 @@ def _min_lex_form(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
         nonlocal best, best_perm
         if best is not None and built > best[:len(built)]:
             return
-        if not cells:
-            if best is None or built < best:
-                best = list(built)
-                best_perm = tuple(fixed)
+        if len(cells) == k - len(fixed):
+            order, string = _leaf(rows, diag, cells)
+            leaf = built + string
+            if best is None or leaf < best:
+                best, best_perm = leaf, tuple(fixed + order)
             return
         for row, v, new_cells in _children(rows, diag, cells):
             fixed.append(v)
@@ -148,12 +165,19 @@ def _min_lex_form(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
 def _match_form(rows: tuple[int, ...], target: tuple[int, ...]) -> tuple[int, ...] | None:
     """perm of the first leaf, in _min_lex_form's order, whose string is
     target, else None. dfs: True at that leaf, False when a subtree has
-    none, None at a row below target's (the minimum is then below target)."""
+    none, None at a row below target's (the minimum is then below target).
+    At a discrete partition the one leaf's remaining string (_leaf) is
+    compared with the rest of target in one step."""
+    k = len(rows)
     diag = [(r >> i) & 1 for i, r in enumerate(rows)]
     want, fixed = list(target), []
 
     def dfs(cells: list[list[int]], at: int) -> bool | None:
-        if not cells:
+        if len(cells) == k - len(fixed):
+            order, string = _leaf(rows, diag, cells)
+            if string != (rest := want[at:]):
+                return None if string < rest else False
+            fixed.extend(order)
             return True
         for row, v, new_cells in _children(rows, diag, cells):
             if row != (part := want[at:at + len(row)]):
@@ -164,7 +188,7 @@ def _match_form(rows: tuple[int, ...], target: tuple[int, ...]) -> tuple[int, ..
             fixed.pop()
         return False
 
-    return tuple(fixed) if dfs([list(range(len(rows)))] if rows else [], 0) else None
+    return tuple(fixed) if dfs([list(range(k))] if k else [], 0) else None
 
 
 def canonical_key(G: BinMatrix) -> CanonicalKey:

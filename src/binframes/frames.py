@@ -186,9 +186,13 @@ def parseval_identity_holds(frame: Frame) -> bool:
     """Scalar identity sum((x, f_j)^2) = (x, x) checked over all 2^n x.
 
     Weaker than being a Parseval frame: some non-spanning families satisfy
-    it, see weight_two_family.
+    it, see weight_two_family. The sweep covers all 2^n vectors, so n > 16
+    is refused.
     """
     n = frame.dim
+    if n > 16:
+        raise ValueError(
+            f"the identity check sweeps all 2^n vectors; need n <= 16, got {n}")
     encs = frame.encodings
     for x in range(1 << n):
         lhs = 0

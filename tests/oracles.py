@@ -3,8 +3,9 @@
 Everything here works on unpacked list-of-lists (or plain combinations
 streams) and deliberately shares no code with the package: elimination,
 products and subset filters are re-derived from scratch so the two routes
-can disagree when one is wrong. The one exception is switching_by_two_keys,
-a superseded route of the package kept to pin its witnesses.
+can disagree when one is wrong. The exceptions are switching_by_two_keys,
+min_lex_by_full_descent and match_by_full_descent: superseded routes of the
+package, kept to pin its keys and witnesses.
 """
 
 from collections import Counter
@@ -245,6 +246,59 @@ def switching_by_two_keys(F, H):
     pi = tuple(h for _, h in sorted(zip(perm_f, perm_h)))
     permuted = Frame(H.dim, tuple(H.encodings[p] for p in pi))
     return _unitary_witness(permuted, F), pi
+
+
+def min_lex_by_full_descent(rows):
+    """_min_lex_form as it was before the discrete-partition leaf rule:
+    the search descends one _children level per vector down to the empty
+    partition. Kept as the reference whose (bits, perm) the package must
+    return unchanged."""
+    from binframes.equivalence import _children
+    k = len(rows)
+    diag = [(rows[i] >> i) & 1 for i in range(k)]
+    best, best_perm = None, ()
+
+    def dfs(fixed, cells, built):
+        nonlocal best, best_perm
+        if best is not None and built > best[:len(built)]:
+            return
+        if not cells:
+            if best is None or built < best:
+                best = list(built)
+                best_perm = tuple(fixed)
+            return
+        for row, v, new_cells in _children(rows, diag, cells):
+            fixed.append(v)
+            dfs(fixed, new_cells, built + row)
+            fixed.pop()
+
+    dfs([], [list(range(k))] if k else [], [])
+    if best is None:
+        raise RuntimeError("canonical form search visited no leaf")
+    return tuple(best), best_perm
+
+
+def match_by_full_descent(rows, target):
+    """_match_form as it was before the discrete-partition leaf rule: perm
+    of the first leaf whose string is target, else None, found by one
+    _children level per vector. Kept as the reference for _match_form."""
+    from binframes.equivalence import _children
+    diag = [(r >> i) & 1 for i, r in enumerate(rows)]
+    want, fixed = list(target), []
+
+    def dfs(cells, at):
+        if not cells:
+            return True
+        for row, v, new_cells in _children(rows, diag, cells):
+            if row != (part := want[at:at + len(row)]):
+                return None if row < part else False
+            fixed.append(v)
+            if (found := dfs(new_cells, at + len(row))) is not False:
+                return found
+            fixed.pop()
+        return False
+
+    return tuple(fixed) if dfs([list(range(len(rows)))] if rows else [], 0) else None
 
 
 def random_unitary(rng, n):

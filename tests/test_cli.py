@@ -272,6 +272,17 @@ def test_counterexample_refuses_large_sweeps(capsys, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
+def test_unwritable_out_file_is_a_usage_error(capsys, tmp_path):
+    # one error line and exit 2, not a traceback and exit 1 (a verdict)
+    out = tmp_path / "missing" / "x.tsv"
+    for argv in (["catalog", "3"], ["enumerate", "3", "4"]):
+        assert run([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.parent.exists()
+        assert captured.err.startswith("error: cannot write ")
+        assert captured.err.count("\n") == 1
+
+
 def test_usage_errors(capsys):
     assert run([]) == 2
     assert run(["frobnicate"]) == 2

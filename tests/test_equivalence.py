@@ -16,8 +16,9 @@ from binframes.equivalence import (CanonicalKey, DimensionTooSmallError,
 from binframes.frames import Frame, grammian, is_parseval
 from binframes.gf2 import BinMatrix, BinVector, is_unitary, mat_vec, rank
 
-from oracles import (all_unitaries, apply_matrix, min_lex_bruteforce,
-                     min_lex_bruteforce_np, pack_bits_msb, random_unitary,
+from oracles import (all_unitaries, apply_matrix, match_by_full_descent,
+                     min_lex_bruteforce, min_lex_bruteforce_np,
+                     min_lex_by_full_descent, pack_bits_msb, random_unitary,
                      switching_by_two_keys, upper_tri_string)
 
 # reference 6-vector pair in Z_2^5: equal Grammians, and the connecting
@@ -466,6 +467,41 @@ def test_switching_witnesses_equal_the_two_key_reference():
     for F, H in others:
         same(F, H)
         same(H, F)
+
+
+def test_leaf_rule_keeps_keys_and_matches():
+    # reading the leaf off a discrete partition must give the (bits, perm)
+    # and the first matching leaf that descending to the empty partition did
+    from binframes.enumeration import catalog
+    rng = random.Random(18)
+    frames = [c.representative for n in (3, 4, 5) for row in catalog(n)
+              for c in row.classes]
+    assert max(F.size for F in frames) >= 26  # the n = 5 complement rows
+    frames += [complement(F, drop_zero=True) for F in frames
+               if F.dim == 5 and 5 <= F.size <= 9]  # k = 22..26 again
+    frames += [fr(3 * m, *(e << 3 * c for c in range(m) for e in (3, 5, 6, 7)))
+               for m in range(1, 5)]  # direct sums of 3; 3,5,6,7
+    inputs = [conjugate(grammian(F).row_bits, rng.sample(range(F.size), F.size))
+              for F in frames]
+    for k in range(15):
+        inputs += [sym(rng, k, density) for density in (0.15, 0.5, 0.85)]
+        inputs += [[0] * k, [(1 << k) - 1] * k, [1 << i for i in range(k)]]
+    for rows in map(tuple, inputs):
+        bits, perm = _min_lex_form(rows)
+        assert (bits, perm) == min_lex_by_full_descent(rows)
+        targets = [bits]
+        if bits:  # flipping the last bit is decided at a discrete node
+            targets.append(bits[:-1] + (1 - bits[-1],))
+        if 1 in bits:  # differs at the first one: decided early
+            first = bits.index(1)
+            targets.append(bits[:first] + (0,) * (len(bits) - first))
+        if 0 in bits:  # above the key from its first zero on
+            first = bits.index(0)
+            targets.append(bits[:first] + (1,) * (len(bits) - first))
+        for target in targets:
+            got = equivalence._match_form(rows, target)
+            assert got == match_by_full_descent(rows, target)
+            assert (got is None) == (target != bits)
 
 
 # Each internal check in the package is forced to fail under python -O,

@@ -1,4 +1,8 @@
 import random
+import resource
+import subprocess
+import sys
+import time
 from itertools import product
 
 import pytest
@@ -147,6 +151,28 @@ def test_parseval_identity_examples():
     assert parseval_identity_holds(fr(3, 3, 5, 6, 7))  # a Parseval frame
     assert parseval_identity_holds(fr(2, 3))            # ... and a non-frame
     assert not parseval_identity_holds(fr(2, 1))
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+
+def test_parseval_identity_refuses_large_sweeps(package_env):
+    # in a child capped at 512 MB and timed, so that a lost bound fails
+    # fast; the identity holds for the standard basis, so an unbounded
+    # check would sweep all 2^64 vectors
+    code = ("import binframes as bf\n"
+            "try:\n"
+            "    bf.parseval_identity_holds(bf.Frame(64, tuple(1 << i for i in range(64))))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=package_env, timeout=10,
+                          preexec_fn=_cap_memory)
+    assert time.perf_counter() - t0 < 1.0
+    assert proc.returncode == 0 and "n <= 16" in proc.stdout, proc.stderr
+    assert not parseval_identity_holds(fr(16, 1))  # n = 16 is still swept
 
 
 def test_parseval_implies_frame_and_identity_and_self_duality():
