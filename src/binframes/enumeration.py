@@ -181,48 +181,30 @@ def _coset(n: int) -> _Coset:
 
 
 @functools.lru_cache(maxsize=None)
-def _planes(n: int) -> list[int]:
-    """planes[p] is a 2^d-bit int whose bit i is bit p of the weight of word
-    i: every weight at once, bit-sliced, for n <= 5 (2^42 bits at n = 6)."""
+def _weights(n: int) -> bytes:
+    """weights[i] is the size of subset i: one byte per coset word, for
+    n <= 5 (2^42 words at n = 6)."""
     if n > 5:
-        raise RuntimeError(f"the Parseval coset of Z_2^{n} is too large to slice")
-    basis, particular = _coset(n)[:2]
-    ones = (1 << (1 << len(basis))) - 1
-    # has_bit[j] has bit i set when i has bit j: blocks of 2^j zeros, 2^j ones
-    has_bit = [ones // ((1 << (1 << j)) + 1) << (1 << j) for j in range(len(basis))]
-    planes: list[int] = []
-    for v in range(1, 1 << n):
-        column = ones if particular >> v & 1 else 0
-        for j, word in enumerate(basis):
-            if word >> v & 1:
-                column ^= has_bit[j]
-        # add the column to the weights: a ripple-carry add across planes
-        for p, plane in enumerate(planes):
-            planes[p], column = plane ^ column, plane & column
-        if column:
-            planes.append(column)
-    return planes
+        raise RuntimeError(f"the Parseval coset of Z_2^{n} is too large to weigh")
+    basis, _, (w0, w1) = _coset(n)[:3]
+    return bytes((w0[i & 0xFF] ^ w1[i >> 8]).bit_count() for i in range(1 << len(basis)))
 
 
 def _walk(n: int, k: int) -> list[int]:
     """The Parseval k-subsets of Z_2^n, n <= 5, as coordinates in lex order:
-    those whose bit is set in exactly the planes p where k has bit p, each
-    checked against S = I. Decoded, they are the frames of _search."""
-    planes = _planes(n)
-    basis, _, (w0, w1), _, (l0, l1), _, (s0, s1, s2, s3) = _coset(n)
-    selected = (1 << (1 << len(basis))) - 1 if k < 1 << len(planes) else 0
-    for p, plane in enumerate(planes):
-        selected &= plane if k >> p & 1 else ~plane
+    those of weight k in _weights, each checked against S = I. Decoded,
+    they are the frames of _search."""
+    weights = _weights(n)
+    _, _, (w0, w1), _, (l0, l1), _, (s0, s1, s2, s3) = _coset(n)
     by_key = {}
-    bits = bin(selected)[:1:-1]  # bits[i] is bit i
-    i = bits.find("1")
+    i = weights.find(k)
     while i >= 0:
         lo, hi = i & 0xFF, i >> 8
         w = w0[lo] ^ w1[hi]
         if s0[w & 0xFF] ^ s1[w >> 8 & 0xFF] ^ s2[w >> 16 & 0xFF] ^ s3[w >> 24]:
             raise RuntimeError(f"coset word {_encs(w)} of Z_2^{n} is not Parseval")
         by_key[l0[lo] ^ l1[hi]] = i
-        i = bits.find("1", i + 1)
+        i = weights.find(k, i + 1)
     return [by_key[key] for key in sorted(by_key, reverse=True)]
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .gf2 import (BinMatrix, BinVector, _independent, _outer_rows, inverse,
-                  mat_mul, rank)
+from .gf2 import (BinMatrix, BinVector, _independent, _outer_rows, _plain_words,
+                  inverse, mat_mul, rank)
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,7 @@ class Frame:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
-        union = 0  # negative iff an encoding is; its bit length is the largest
-        for e in self.encodings:
-            union |= e
+        union = _plain_words(self, "encodings", "encoding")
         if union < 0 or union.bit_length() > self.dim:
             e = next(e for e in self.encodings if e < 0 or e.bit_length() > self.dim)
             raise ValueError(f"encoding {e} out of range for Z_2^{self.dim}")

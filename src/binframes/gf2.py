@@ -11,6 +11,7 @@ so everything here is safe to share between threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -29,6 +30,30 @@ def _outer_rows(pairs: Iterable[tuple[int, int]], n: int) -> list[int]:
             rows[low.bit_length() - 1] ^= a
             b ^= low
     return rows
+
+
+def _plain_words(obj: object, field: str, noun: str) -> int:
+    """The OR of the ints in obj.field, negative iff one is; its bit length
+    is the largest. A field that is not a tuple of exact ints (a list,
+    bools, another integer type) is stored back as one; ValueError names a
+    value that is not an integer. A tuple of ints takes one pass."""
+    words, union = getattr(obj, field), 0
+    if type(words) is tuple:
+        for w in words:
+            if type(w) is not int:
+                break
+            union |= w
+        else:
+            return union
+    plain = []
+    for w in words:
+        try:
+            plain.append(operator.index(w))
+        except TypeError:
+            raise ValueError(f"{noun} {w!r} is not an integer") from None
+        union |= plain[-1]
+    object.__setattr__(obj, field, tuple(plain))
+    return union
 
 
 @dataclass(frozen=True)
@@ -95,9 +120,7 @@ class BinMatrix:
         if len(self.row_bits) != self.rows:
             raise ValueError(
                 f"expected {self.rows} rows, got {len(self.row_bits)}")
-        union = 0  # negative iff a word is; its bit length is the largest
-        for r in self.row_bits:
-            union |= r
+        union = _plain_words(self, "row_bits", "row word")
         if union < 0 or union.bit_length() > self.cols:
             r = next(r for r in self.row_bits if r < 0 or r.bit_length() > self.cols)
             raise ValueError(f"row word {r} out of range for {self.cols} columns")

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import os
+import random
 from collections import Counter
 
 import pytest
@@ -72,7 +73,7 @@ def test_pruned_search_equals_bruteforce_filter():
 
 def test_coset_walk_equals_search():
     # the two engines share only the packed masks: kernel and weight
-    # planes on one side, depth-first search and tail tables on the other
+    # table on one side, depth-first search and tail tables on the other
     def walked(n, k):
         return [enumeration._subset(n, i) for i in enumeration._walk(n, k)]
 
@@ -91,6 +92,13 @@ def test_coset_dimension_and_n5_bucket_sizes():
         6, 26, 80, 240, 610, 1342, 2592, 4320, 6300, 8100, 9152]
     assert all(sizes[k] == sizes.get(31 - k, 0) for k in sizes)
     assert sum(sizes.values()) == 1 << 16
+    for n in (1, 2, 3, 4):
+        weights = enumeration._weights(n)
+        assert all(w == len(enumeration._subset(n, i)) for i, w in enumerate(weights))
+    weights = enumeration._weights(5)
+    for i in random.Random(20).sample(range(1 << 16), 2000):
+        assert weights[i] == len(enumeration._subset(5, i)), i
+    assert all(weights.count(k) == sizes.get(k, 0) for k in range(32))
 
 
 def test_worker_partitioning_is_transparent():

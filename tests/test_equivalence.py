@@ -554,10 +554,10 @@ cls = bf.classify(4, 4)[0]
 results.append(raises(lambda: en._complemented_classes(4, [cls, cls])))
 wrong = bf.SwitchingClass(cls.key, cls.representative, cls.member_count + 1)
 results.append(raises(lambda: en._complemented_classes(4, [wrong])))
-# weight planes past n = 5; masks whose kernel has the wrong dimension
+# the weight table past n = 5; masks whose kernel has the wrong dimension
 # (uncached); a coset whose words all lack vector 1; a coset whose
 # coordinates are all off by one, so that every generator map is wrong
-results.append(raises(lambda: en._planes(6)))
+results.append(raises(lambda: en._weights(6)))
 real_masks, real_coset = en._masks, en._coset
 en._masks = lambda n: ([0] * (1 << n), 0)
 results.append(raises(lambda: en._coset.__wrapped__(3)))

@@ -37,6 +37,21 @@ def test_frame_literal_grammar():
     for bad in ("3 3,5", "x; 1", "3; 1,z", "3; 8", "0; 1", "3; -1"):
         with pytest.raises(ValueError):
             parse_frame(bad)
+    # a list, bools or another integer type is stored as a tuple of ints
+    class Index:
+        def __index__(self):
+            return 7
+
+    for same in (Frame(3, [3, 5, 6, 7]), Frame(3, (3, 5, 6, Index()))):
+        assert same == f and hash(same) == hash(f)
+        assert all(type(e) is int for e in same.encodings)
+        assert parse_frame(format_frame(same)) == same
+    mixed = Frame(3, (True, 2, 4))
+    assert format_frame(mixed) == "3; 1,2,4" and parse_frame("3; 1,2,4") == mixed
+    assert hash(Frame(3, [1, 2, 4])) == hash(mixed) == hash(Frame(3, (1, 2, 4)))
+    for bad in ((1.0, 2, 4), [1, "2", 4], (1, 2, None)):
+        with pytest.raises(ValueError, match="encoding .* is not an integer"):
+            Frame(3, bad)
 
 
 def test_is_frame_examples():

@@ -295,6 +295,14 @@ def test_matrix_serialization_roundtrip():
     rows, cols, encs = A.to_row_encodings()
     assert (rows, cols, encs) == (4, 3, [3, 5, 6, 7])
     assert BinMatrix.from_row_encodings(rows, cols, encs) == A
+    # a list or bools are stored as a tuple of ints
+    same = BinMatrix(4, 3, [3, 5, 6, 7])
+    assert same == A and hash(same) == hash(A) and type(same.row_bits) is tuple
+    flag = BinMatrix(1, 2, [True])
+    assert flag == BinMatrix(1, 2, (1,)) and hash(flag) == hash(BinMatrix(1, 2, (1,)))
+    assert type(flag.row_bits[0]) is int
+    with pytest.raises(ValueError, match="row word 1.5 is not an integer"):
+        BinMatrix(1, 2, [1.5])
 
 
 def matrices(m, n):
