@@ -103,7 +103,7 @@ def _cmd_complement(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     lines = []
-    for encs, key in _keyed_encodings(args.n, args.k, args.workers):
+    for encs, key in _keyed_encodings(args.n, args.k):
         vecs = ",".join(str(e) for e in encs)
         lines.append(f"{args.n}\t{args.k}\t{vecs}\t{key}\t1")
     _emit(lines, args.out)
@@ -111,8 +111,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    cfg = SearchConfig(workers=args.workers,
-                       use_complement_shortcut=not args.no_complement_shortcut)
+    cfg = SearchConfig(use_complement_shortcut=not args.no_complement_shortcut)
     rows = catalog(args.n, args.kmax, config=cfg)
     _emit(catalog_lines(rows), args.out)
     return 0

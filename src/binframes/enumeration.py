@@ -50,9 +50,8 @@ class CatalogRow:
 class SearchConfig:
     """Search knobs: least k, complement shortcut, worker count.
 
-    Every row is read from the coset up to n = 5, where workers are not
-    used; at n = 6 a catalog, like any search, stops at subsets of 9
-    vectors (see _check_search).
+    workers is accepted and changes nothing: no catalog starts a process.
+    At n = 6 a catalog stops at subsets of 9 vectors (see _check_search).
     """
 
     k_min: Optional[int] = None
@@ -231,10 +230,9 @@ def _subset(n: int, i: int) -> tuple[int, ...]:
 def _check_search(n: int, k: int) -> None:
     """Refuse a search over the k-subsets of Z_2^n before any table exists.
 
-    Admitted: every k up to n = 5, read from the coset, and k <= 9 at
-    n = 6, searched (k = 9 takes 15 to 30 s on one worker, by host; 14.5 s
-    on a 2-vCPU Xeon with Python 3.11). At n >= 7 the 3-subset tail table
-    alone would hold 333,375 subsets.
+    Admitted: every k up to n = 5, read from the coset, and k <= 9 at n = 6,
+    searched (k = 9: 2.5 s to classify, 20 s to enumerate_parseval; 2-vCPU
+    Xeon). At n >= 7 the 3-subset tail table alone would hold 333,375 subsets.
     """
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
@@ -296,10 +294,10 @@ def _pool_size(workers: int, tasks: int, cpus: int) -> int:
 def _iter_encodings(n: int, k: int, workers: int = 1) -> Iterator[tuple[int, ...]]:
     """Stream Parseval k-subsets in lexicographic order.
 
-    Up to n = 5 they are read from the coset in one process, whatever the
-    worker count. At n = 6 the search space partitions by the first
-    vector; workers explore disjoint subtrees and the results merge in
-    first-vector order, so the stream is identical for any worker count.
+    Up to n = 5 they are read from the coset in one process. At n = 6 the
+    search partitions by first vector, and workers search disjoint subtrees
+    whose results merge in order, so the stream is the same for any worker
+    count. The class routes search only the vector-1 subtree (_classes).
     """
     _check_search(n, k)
     if n <= 5:
@@ -377,48 +375,51 @@ def _sweep(n: int, start: int) -> list[int]:
     return orbit
 
 
-def _classes(n: int, k: int, workers: int = 1
-             ) -> tuple[list[int], list[tuple[int, CanonicalKey, list[int]]]]:
-    """The Parseval k-subsets as coordinates in lex order, and their classes.
+def _classes(n: int, k: int) -> list[tuple[int, CanonicalKey, list[int]]]:
+    """The classes of the Parseval k-subsets: (least member, key, O(n)-orbit).
 
-    A class is (least member, canonical key, O(n)-orbit). Read in lex order,
-    the first subset that no earlier orbit holds is the least of its class,
-    whose orbit is the whole class: one sweep and one key per class. Raises
-    when an orbit holds a subset that was not streamed, two orbits share a
-    key (too few generators) or the orbits do not hold exactly the stream."""
+    Candidates are read in lex order; the first that no earlier orbit
+    claims is the least of its class, whose orbit is the whole class. At
+    n = 6 only the subsets holding vector 1 are candidates: a Parseval frame
+    spans, so it holds an odd vector (the even ones span a hyperplane),
+    which O(6) moves to vector 1. Raises when an orbit holds a candidate
+    that was not streamed, two orbits share a key (too few generators) or
+    the orbits claim other than exactly the candidates streamed."""
     _check_search(n, k)
-    coords = _walk(n, k) if n <= 5 else list(map(  # searched at n = 6
-        functools.partial(_apply, _coset(n).index), map(_word, _iter_encodings(n, k, workers))))
+    coset = _coset(n)
+    coords = _walk(n, k) if n <= 5 else [_apply(coset.index, _word(e)) for e in _search(n, k, 1)]
+    # like the particular word, word(i) holds vector 1 when i meets evenly the basis words that do
+    ones = sum(1 << j for j, word in enumerate(coset.basis) if word & 2)
     unclaimed = set(coords)
     keys: set[CanonicalKey] = set()
-    classes = []
+    classes, held = [], 0
     for i in coords:
         if i not in unclaimed:
             continue
         orbit = _sweep(n, i)  # _generators runs after the size check
-        if not unclaimed.issuperset(orbit):
+        claimed = orbit if n <= 5 else [m for m in orbit if not (m & ones).bit_count() & 1]
+        if not unclaimed.issuperset(claimed):
             raise RuntimeError(f"the O({n})-orbit of {_subset(n, i)} holds "
                                f"a subset that was not streamed")
-        unclaimed.difference_update(orbit)
+        unclaimed.difference_update(claimed)
+        held += len(claimed)
         key = canonical_key(grammian(Frame.from_encodings(n, _subset(n, i))))
         if key in keys:
             raise RuntimeError(f"two O({n})-orbits share key {key}")
         keys.add(key)
         classes.append((i, key, orbit))
-    held = sum(len(orbit) for _, _, orbit in classes)
     if held != len(coords):
-        raise RuntimeError(f"O({n})-orbits hold {held} subsets "
+        raise RuntimeError(f"O({n})-orbits claim {held} subsets "
                            f"of the {len(coords)} streamed at k = {k}")
-    return coords, classes
+    return classes
 
 
-def _keyed_encodings(n: int, k: int, workers: int = 1
-                     ) -> Iterator[tuple[tuple[int, ...], CanonicalKey]]:
-    """The _iter_encodings stream, each subset with its class key."""
-    coords, classes = _classes(n, k, workers)
-    key_of = {member: key for _, key, orbit in classes for member in orbit}
-    for i in coords:
-        yield _subset(n, i), key_of[i]
+def _keyed_encodings(n: int, k: int) -> Iterator[tuple[tuple[int, ...], CanonicalKey]]:
+    """Every Parseval k-subset with its class key, in lex order: the members
+    of the class orbits, by descending lex key."""
+    classes, lex = _classes(n, k), _coset(n).lex  # sizes are refused before _coset
+    keyed = sorted([(_apply(lex, m), m, key) for _, key, orbit in classes for m in orbit])
+    return ((_subset(n, m), key) for _, m, key in reversed(keyed))
 
 
 def classify(n: int, k: int, *, workers: int = 1) -> list[SwitchingClass]:
@@ -427,10 +428,10 @@ def classify(n: int, k: int, *, workers: int = 1) -> list[SwitchingClass]:
     Classes are the O(n)-orbits of the Parseval k-subsets, keyed by the
     canonical Grammian key of one member each; they carry their least
     member as representative and their orbit size as member count, and are
-    sorted by representative.
+    sorted by representative. workers is accepted and changes nothing.
     """
     return [SwitchingClass(key, Frame.from_encodings(n, _subset(n, i)), len(orbit))
-            for i, key, orbit in _classes(n, k, workers)[1]]
+            for i, key, orbit in _classes(n, k)]
 
 
 def _complemented_classes(n: int, classes: Sequence[SwitchingClass]
@@ -482,7 +483,7 @@ def catalog(n: int, k_max: Optional[int] = None, *,
     searched = [size for size in dict.fromkeys(sizes.values()) if size >= n]
     for size in searched:
         _check_search(n, size)
-    classified = {size: classify(n, size, workers=cfg.workers) for size in searched}
+    classified = {size: classify(n, size) for size in searched}
     rows = []
     for k, size in sizes.items():
         classes = classified.get(size)

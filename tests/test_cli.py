@@ -174,9 +174,10 @@ def test_enumerate_command(capsys):
 
 
 def test_enumerate_keys_equal_per_frame_keys(capsys):
-    # each line's key comes from its class's orbit; recomputing it per
-    # frame must give the same bytes
-    for argv in (["4", "7"], ["5", "8"], ["5", "8", "--workers", "2"]):
+    # each line's key comes from its class's orbit, and at n = 6 the lines
+    # are the members of the orbits swept from the vector-1 subtree;
+    # recomputing keys per frame of the whole search must give the same bytes
+    for argv in (["4", "7"], ["5", "8"], ["5", "8", "--workers", "2"], ["6", "7"], ["6", "8"]):
         n, k = int(argv[0]), int(argv[1])
         assert run(["enumerate", *argv]) == 0
         want = "".join(
@@ -186,7 +187,7 @@ def test_enumerate_keys_equal_per_frame_keys(capsys):
 
 
 def test_cli_import_leaves_the_pool_unloaded(package_env):
-    # multiprocessing is imported only when a run asks for workers
+    # multiprocessing is imported only by enumerate_parseval with workers at n = 6
     code = ("import sys; from binframes import cli; "
             "print('multiprocessing' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

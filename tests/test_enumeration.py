@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import hashlib
 import os
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binframes import enumeration
+from binframes.cli import run
 from binframes.enumeration import (CatalogRow, SearchConfig, SwitchingClass,
                                    _pool_size, catalog, catalog_lines,
                                    classify, enumerate_parseval, write_catalog)
@@ -219,7 +221,7 @@ def test_word_sweep_equals_tuple_sweep():
     checked = 0
     for n, k in sizes + [(6, 6), (6, 7)]:
         gens = [g for g, _ in enumeration._generators(n)]
-        for i, _, orbit in enumeration._classes(n, k)[1]:
+        for i, _, orbit in enumeration._classes(n, k):
             want = orbit_by_tuples(gens, enumeration._subset(n, i))
             assert [enumeration._subset(n, m) for m in orbit] == want, (n, k)
             checked += 1
@@ -275,8 +277,10 @@ def test_member_count_times_automorphisms_is_group_order():
 
 
 def test_classify_equals_per_member_key_grouping():
+    # at n = 6 the reference is the whole search tree, classify the
+    # vector-1 subtree
     sizes = [(n, k) for n in range(1, 6) for k in range(n, min(9, (1 << n) - 1) + 1)]
-    for n, k in sizes + [(6, 6), (6, 7)]:
+    for n, k in sizes + [(6, 6), (6, 7), (6, 8)]:
         want = classes_by_member_keys(
             enumeration._iter_encodings(n, k),
             lambda encs: canonical_key(grammian(Frame.from_encodings(n, encs))))
@@ -436,8 +440,64 @@ def test_member_counts_equal_character_sums():
     six = members(6)
     assert [six[k] for k in range(6, 10)] == [32, 256, 1856, 11360]
     assert sum(six.values()) == 1 << 42
-    for k in (6, 7):
-        assert sum(c.member_count for c in classify(6, k)) == six[k]
+    for k in range(6, 10):
+        assert sum(c.member_count for c in classify_6(k)) == six[k], k
+
+
+@functools.lru_cache(maxsize=None)
+def classify_6(k):
+    return tuple(classify(6, k))
+
+
+def test_odd_weight_vectors_and_representatives_meet_vector_1():
+    # A Parseval frame spans, so it holds an odd-weight vector. At even n
+    # the generators move vector 1 onto every odd-weight vector, so every
+    # class's least member holds vector 1. At odd n, x.x = x.j for the
+    # all-ones j, so every unitary fixes j, and a class whose only odd-weight
+    # vector is j misses vector 1.
+    for n in (3, 4, 5, 6):
+        full = (1 << n) - 1
+        gens = [g for g, _ in enumeration._generators(n)]
+        orbit = orbit_by_tuples(gens, (1,))
+        odd = [(v,) for v in range(1, full + 1) if v.bit_count() % 2]
+        if n % 2:
+            assert all(g[full] == full for g in gens)
+            odd.remove((full,))
+        assert sorted(orbit) == odd, n
+    for n in (3, 4, 5):
+        for shortcut in (True, False):
+            for line in catalog_by_route(n, shortcut):
+                vecs = [int(v) for v in line.split("\t")[2].split(",")]
+                odd = [v for v in vecs if v.bit_count() % 2]
+                assert vecs[0] == 1 or (n % 2 and odd == [(1 << n) - 1]), line
+    misses = [line.split("\t")[1] for line in catalog_by_route(5, True)
+              if not line.split("\t")[2].startswith("1,")]
+    assert misses == ["6", "7", "10", "11"]  # one class each
+    for k in range(6, 10):
+        assert all(c.representative.encodings[0] == 1 for c in classify_6(k)), k
+
+
+def test_n6_class_routes_search_only_the_vector_1_subtree(monkeypatch, capsys):
+    # classify, catalog and enumerate at n = 6 run _search from vector 1
+    # only, in this process, whatever the worker count
+    firsts = []
+    real_search = enumeration._search
+
+    def logged(n, k, first=None):
+        firsts.append(first)
+        return real_search(n, k, first)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"called with {args}, {kwargs}")
+
+    monkeypatch.setattr(enumeration, "_search", logged)
+    monkeypatch.setattr(enumeration, "_iter_encodings", must_not_run)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", must_not_run)
+    assert [c.member_count for c in classify(6, 7, workers=2)] == [160, 96]
+    assert [len(row.classes) for row in catalog(6, 8)] == [1, 2, 6]
+    assert run(["enumerate", "6", "7", "--workers", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 256
+    assert firsts == [1] * 5
 
 
 def test_catalog_line_format():
