@@ -50,7 +50,7 @@ class CatalogRow:
 class SearchConfig:
     """Search knobs: least k, complement shortcut, worker count.
 
-    workers is accepted and changes nothing: no catalog starts a process.
+    workers is accepted and changes nothing: no route starts a process.
     At n = 6 a catalog stops at subsets of 9 vectors (see _check_search).
     """
 
@@ -231,7 +231,7 @@ def _check_search(n: int, k: int) -> None:
     """Refuse a search over the k-subsets of Z_2^n before any table exists.
 
     Admitted: every k up to n = 5, read from the coset, and k <= 9 at n = 6,
-    searched (k = 9: 2.5 s to classify, 20 s to enumerate_parseval; 2-vCPU
+    swept from the vector-1 subtree (k = 9: 2 s, the whole tree 20 s; 2-vCPU
     Xeon). At n >= 7 the 3-subset tail table alone would hold 333,375 subsets.
     """
     if n < 1:
@@ -292,18 +292,14 @@ def _pool_size(workers: int, tasks: int, cpus: int) -> int:
 
 
 def _iter_encodings(n: int, k: int, workers: int = 1) -> Iterator[tuple[int, ...]]:
-    """Stream Parseval k-subsets in lexicographic order.
+    """Stream Parseval k-subsets in lexicographic order: the whole search tree.
 
-    Up to n = 5 they are read from the coset in one process. At n = 6 the
-    search partitions by first vector, and workers search disjoint subtrees
-    whose results merge in order, so the stream is the same for any worker
-    count. The class routes search only the vector-1 subtree (_classes).
+    This is the reference that the tests hold every stream to; no route of
+    the package calls it. With workers > 1, workers search the disjoint
+    first-vector subtrees, whose results merge in order, so the stream is
+    the same for any worker count.
     """
     _check_search(n, k)
-    if n <= 5:
-        w0, w1 = _coset(n).word
-        yield from (_encs(w0[i & 0xFF] ^ w1[i >> 8]) for i in _walk(n, k))
-        return
     full = (1 << n) - 1
     if workers <= 1:
         yield from _search(n, k)
@@ -324,9 +320,17 @@ def enumerate_parseval(n: int, k: int, *, workers: int = 1) -> Iterator[Frame]:
 
     Vectors ascend within each frame and subsets arrive in lexicographic
     order; zero vectors and repeats are excluded at generation time, so no
-    trivially redundant frame can appear.
+    trivially redundant frame can appear. Up to n = 5 the frames are read
+    from the coset; at n = 6 they are the members of the class orbits
+    (_keyed_encodings). workers is accepted and changes nothing.
     """
-    for encs in _iter_encodings(n, k, workers):
+    _check_search(n, k)
+    if n <= 5:
+        w0, w1 = _coset(n).word
+        stream = (_encs(w0[i & 0xFF] ^ w1[i >> 8]) for i in _walk(n, k))
+    else:
+        stream = (encs for encs, _ in _keyed_encodings(n, k))
+    for encs in stream:
         yield Frame.from_encodings(n, encs)
 
 
@@ -426,9 +430,9 @@ def classify(n: int, k: int, *, workers: int = 1) -> list[SwitchingClass]:
     """Group the Parseval k-subsets of Z_2^n into switching classes.
 
     Classes are the O(n)-orbits of the Parseval k-subsets, keyed by the
-    canonical Grammian key of one member each; they carry their least
-    member as representative and their orbit size as member count, and are
-    sorted by representative. workers is accepted and changes nothing.
+    canonical Grammian key of one member each, with their least member as
+    representative and orbit size as member count, sorted by representative.
+    workers is accepted and changes nothing: no route starts a process.
     """
     return [SwitchingClass(key, Frame.from_encodings(n, _subset(n, i)), len(orbit))
             for i, key, orbit in _classes(n, k)]

@@ -208,10 +208,11 @@ def weight_two_family(n: int) -> Frame:
     coordinate appears in n-1 of them, an odd count). For odd n, the first
     standard basis vector together with the weight-two family on
     coordinates 2..n. Linear combinations keep an even weight on the
-    relevant coordinates, so the family never spans.
+    relevant coordinates, so the family never spans. It is made for the
+    2^n sweep of parseval_identity_holds, so n > 16 is refused.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    if not 2 <= n <= 16:
+        raise ValueError(f"need 2 <= n <= 16, got {n}")
     lo = 2 if n % 2 else 1
     pairs = [(1 << (i - 1)) | (1 << (j - 1))
              for i in range(lo, n + 1) for j in range(i + 1, n + 1)]
@@ -225,9 +226,10 @@ def shift_matrix(n: int) -> BinMatrix:
     Entry (i, j) is 1 when i = j = 1 or j - i = 1, so A sends
     (a_1, ..., a_n) to (a_1 + a_2, a_3, ..., a_n, 0). The last row is
     zero, hence rank n-1 and no inverse, yet the quadratic form is
-    preserved; no unitary behaves this way over the reals.
+    preserved; no unitary behaves this way over the reals. Checking that
+    takes a sweep over all 2^n vectors, so n > 16 is refused.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    if not 2 <= n <= 16:
+        raise ValueError(f"need 2 <= n <= 16, got {n}")
     # row i < n is e_{i+1}, plus e_1 in row 1
     return BinMatrix(n, n, (3,) + tuple(1 << i for i in range(2, n)) + (0,))

@@ -8,7 +8,7 @@ import binframes.cli
 import binframes.enumeration
 import binframes.equivalence
 from binframes.cli import run
-from binframes.enumeration import enumerate_parseval
+from binframes.enumeration import _iter_encodings
 from binframes.equivalence import canonical_key
 from binframes.frames import Frame, grammian
 
@@ -180,20 +180,25 @@ def test_enumerate_keys_equal_per_frame_keys(capsys):
     for argv in (["4", "7"], ["5", "8"], ["5", "8", "--workers", "2"], ["6", "7"], ["6", "8"]):
         n, k = int(argv[0]), int(argv[1])
         assert run(["enumerate", *argv]) == 0
+        frames = (Frame.from_encodings(n, e) for e in _iter_encodings(n, k))
         want = "".join(
             f"{n}\t{k}\t{','.join(map(str, f.encodings))}\t"
-            f"{canonical_key(grammian(f))}\t1\n" for f in enumerate_parseval(n, k))
+            f"{canonical_key(grammian(f))}\t1\n" for f in frames)
         assert want and capsys.readouterr().out == want
 
 
 def test_cli_import_leaves_the_pool_unloaded(package_env):
-    # multiprocessing is imported only by enumerate_parseval with workers at n = 6
-    code = ("import sys; from binframes import cli; "
-            "print('multiprocessing' in sys.modules)")
+    # no public call starts a process, so none loads the pool's modules,
+    # whatever worker count it is given
+    code = ("import sys; from binframes import cli, classify, enumerate_parseval; "
+            "frames = list(enumerate_parseval(6, 6, workers=2)); "
+            "classes = classify(6, 6, workers=2); "
+            "print(len(frames), len(classes), [m for m in "
+            "('multiprocessing', 'concurrent.futures') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=package_env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "32 1 []\n"
 
 
 def _must_not_run(*args):

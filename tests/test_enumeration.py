@@ -67,10 +67,13 @@ def test_enumerate_stream_order_and_shape():
 
 
 def test_pruned_search_equals_bruteforce_filter():
+    # the walk through enumerate_parseval, and the whole search tree
     for n in (1, 2, 3, 4):
         for k in range(n, 1 << n):
+            want = parseval_subsets_bruteforce(n, k)
             got = [f.encodings for f in enumerate_parseval(n, k)]
-            assert got == parseval_subsets_bruteforce(n, k), (n, k)
+            assert got == want, (n, k)
+            assert list(enumeration._iter_encodings(n, k)) == want, (n, k)
 
 
 def test_coset_walk_equals_search():
@@ -104,11 +107,15 @@ def test_coset_dimension_and_n5_bucket_sizes():
 
 
 def test_worker_partitioning_is_transparent():
-    # only n = 6 searches, so only n = 6 starts a pool
-    for n, k in ((6, 6), (6, 7)):
-        seq = [f.encodings for f in enumerate_parseval(n, k)]
-        par = [f.encodings for f in enumerate_parseval(n, k, workers=2)]
+    # only the whole-tree reference starts a pool; enumerate_parseval reads
+    # the class orbits and must give the same stream
+    for k in (6, 7):
+        seq = list(enumeration._iter_encodings(6, k))
+        par = list(enumeration._iter_encodings(6, k, workers=2))
         assert seq and seq == par
+        for workers in (1, 2):
+            got = [f.encodings for f in enumerate_parseval(6, k, workers=workers)]
+            assert got == seq, (k, workers)
 
 
 def test_pool_size_is_clamped_to_tasks_and_cpus():
@@ -277,8 +284,8 @@ def test_member_count_times_automorphisms_is_group_order():
 
 
 def test_classify_equals_per_member_key_grouping():
-    # at n = 6 the reference is the whole search tree, classify the
-    # vector-1 subtree
+    # the reference is the whole search tree at every n; classify reads
+    # the coset walk at n <= 5 and the vector-1 subtree at n = 6
     sizes = [(n, k) for n in range(1, 6) for k in range(n, min(9, (1 << n) - 1) + 1)]
     for n, k in sizes + [(6, 6), (6, 7), (6, 8)]:
         want = classes_by_member_keys(
@@ -478,8 +485,8 @@ def test_odd_weight_vectors_and_representatives_meet_vector_1():
 
 
 def test_n6_class_routes_search_only_the_vector_1_subtree(monkeypatch, capsys):
-    # classify, catalog and enumerate at n = 6 run _search from vector 1
-    # only, in this process, whatever the worker count
+    # classify, catalog, enumerate and enumerate_parseval at n = 6 run
+    # _search from vector 1 only, in this process, whatever the worker count
     firsts = []
     real_search = enumeration._search
 
@@ -497,7 +504,8 @@ def test_n6_class_routes_search_only_the_vector_1_subtree(monkeypatch, capsys):
     assert [len(row.classes) for row in catalog(6, 8)] == [1, 2, 6]
     assert run(["enumerate", "6", "7", "--workers", "2"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 256
-    assert firsts == [1] * 5
+    assert len(list(enumerate_parseval(6, 7, workers=2))) == 256
+    assert firsts == [1] * 6
 
 
 def test_catalog_line_format():

@@ -190,6 +190,29 @@ def test_parseval_identity_refuses_large_sweeps(package_env):
     assert not parseval_identity_holds(fr(16, 1))  # n = 16 is still swept
 
 
+def test_counterexample_builders_refuse_large_dimensions(package_env):
+    # in a child capped at 512 MB and timed: unbounded, weight_two_family
+    # builds C(n, 2) words and shift_matrix about n^2 / 2 bits, tens of GB
+    # at n = 10**5 and 10**6
+    code = ("import binframes as bf\n"
+            "for build in (bf.weight_two_family, bf.shift_matrix):\n"
+            "    for n in (17, 10**5, 10**6):\n"
+            "        try:\n"
+            "            build(n)\n"
+            "        except ValueError as exc:\n"
+            "            print(exc)\n")
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=package_env, timeout=10,
+                          preexec_fn=_cap_memory)
+    assert time.perf_counter() - t0 < 1.0
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 0 and len(lines) == 6, proc.stderr
+    assert all("n <= 16" in line for line in lines), lines
+    assert weight_two_family(16).size == 120  # n = 16 is still built
+    assert rank(shift_matrix(16)) == 15
+
+
 def test_parseval_implies_frame_and_identity_and_self_duality():
     rng = random.Random(14)
     seen = 0
