@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .equivalence import CanonicalKey, canonical_key
+from .equivalence import CanonicalKey, _min_lex_form, canonical_key
 from .frames import Frame, grammian
 from .gf2 import BinMatrix, is_unitary
 
@@ -364,6 +364,57 @@ def _generators(n: int) -> tuple[tuple[tuple[int, ...], tuple[list[int], ...]], 
     return tuple(gens)
 
 
+@functools.lru_cache(maxsize=None)
+def _moves(n: int) -> tuple[tuple[int, ...], ...]:
+    """O(n) as bitsets, n <= 5: bit j of moves[x][y] is set when element j
+    sends vector x to y. The elements are the closure of _generators'
+    vector tables, composed by bytes.translate, and moves[0][0], since
+    every unitary fixes 0, is the whole group (720 elements at n = 5;
+    23,040 at n = 6)."""
+    if n > 5:
+        raise RuntimeError(f"O({n}) is too large to tabulate")
+    pad = bytes(256 - (1 << n))
+    tables = [bytes(g) + pad for g, _ in _generators(n)]
+    elements = [bytes(range(1 << n))]
+    seen = set(elements)
+    for g in elements:  # grows while it is read
+        for t in tables:
+            h = g.translate(t)
+            if h not in seen:
+                seen.add(h)
+                elements.append(h)
+    moves = [[0] * (1 << n) for _ in range(1 << n)]
+    for j, g in enumerate(elements):
+        for x, y in enumerate(g):
+            moves[x][y] |= 1 << j
+    return tuple(map(tuple, moves))
+
+
+def _class_key(rep: Frame, members: int) -> CanonicalKey:
+    """The canonical key of a class of members subsets with least member rep.
+
+    For n <= 5 the key search is pruned by rep's stabilizer Stab in O(n),
+    read from _moves (_min_lex_form's auts), and raises unless
+    |Stab| * members = |O(n)|, as orbit-stabilizer requires. At n = 6 it
+    is canonical_key's search."""
+    n, encs = rep.dim, rep.encodings
+    if n > 5:
+        return canonical_key(grammian(rep))
+    moves = _moves(n)
+    stab = moves[0][0]
+    for x in encs:  # the elements sending every vector of rep into rep
+        into = 0
+        for y in encs:
+            into |= moves[x][y]
+        stab &= into
+    if stab.bit_count() * members != moves[0][0].bit_count():
+        raise RuntimeError(f"a class of {members} in Z_2^{n} has a stabilizer "
+                           f"of {stab.bit_count()} in O({n})")
+    auts = tuple([tuple([moves[x][y] & stab for y in encs]) for x in encs])
+    bits, _ = _min_lex_form(grammian(rep).row_bits, auts)
+    return CanonicalKey.from_bits(len(encs), bits)
+
+
 def _sweep(n: int, start: int) -> list[int]:
     """The O(n)-orbit of a coordinate, swept breadth first from it."""
     maps = [m for _, m in _generators(n)]
@@ -386,9 +437,11 @@ def _classes(n: int, k: int) -> list[tuple[int, CanonicalKey, list[int]]]:
     claims is the least of its class, whose orbit is the whole class. At
     n = 6 only the subsets holding vector 1 are candidates: a Parseval frame
     spans, so it holds an odd vector (the even ones span a hyperplane),
-    which O(6) moves to vector 1. Raises when an orbit holds a candidate
-    that was not streamed, two orbits share a key (too few generators) or
-    the orbits claim other than exactly the candidates streamed."""
+    which O(6) moves to vector 1. Keys come from _class_key, pruned by the
+    least member's stabilizer at n <= 5. Raises when an orbit holds a
+    candidate that was not streamed, a stabilizer and its orbit do not
+    multiply to |O(n)|, two orbits share a key (too few generators) or the
+    orbits claim other than exactly the candidates streamed."""
     _check_search(n, k)
     coset = _coset(n)
     coords = _walk(n, k) if n <= 5 else [_apply(coset.index, _word(e)) for e in _search(n, k, 1)]
@@ -407,7 +460,7 @@ def _classes(n: int, k: int) -> list[tuple[int, CanonicalKey, list[int]]]:
                                f"a subset that was not streamed")
         unclaimed.difference_update(claimed)
         held += len(claimed)
-        key = canonical_key(grammian(Frame.from_encodings(n, _subset(n, i))))
+        key = _class_key(Frame.from_encodings(n, _subset(n, i)), len(claimed))
         if key in keys:
             raise RuntimeError(f"two O({n})-orbits share key {key}")
         keys.add(key)
@@ -445,8 +498,9 @@ def _complemented_classes(n: int, classes: Sequence[SwitchingClass]
     For n >= 3 complementing within the nonzero vectors maps Parseval
     subsets to Parseval subsets and commutes with O(n), so the complement
     of a class is the orbit of its representative's complement: one sweep
-    and one key per class, no search. Raises when that orbit and the class
-    differ in size, or two complements share a key.
+    and one key per class (_class_key), no search. Raises when that orbit
+    and the class differ in size, a stabilizer and its orbit do not
+    multiply to |O(n)|, or two complements share a key.
     """
     coset = _coset(n)
     out = []
@@ -458,7 +512,7 @@ def _complemented_classes(n: int, classes: Sequence[SwitchingClass]
                                f"orbit of {len(orbit)} in Z_2^{n}")
         least = max(orbit, key=functools.partial(_apply, coset.lex))
         rep = Frame.from_encodings(n, _subset(n, least))
-        out.append(SwitchingClass(canonical_key(grammian(rep)), rep, len(orbit)))
+        out.append(SwitchingClass(_class_key(rep, len(orbit)), rep, len(orbit)))
     if len({c.key for c in out}) < len(out):
         raise RuntimeError("complements of two classes share a key")
     return sorted(out, key=lambda c: c.representative.encodings)

@@ -74,15 +74,19 @@ class CanonicalKey:
         return cls(size, bytes(out))
 
 
-def _children(rows: tuple[int, ...], diag: list[int], cells: list[list[int]]) -> list[tuple]:
+def _children(rows: tuple[int, ...], diag: list[int], cells: list[list[int]],
+              skip: int = 0) -> list[tuple]:
     """(row, v, cells) for each child of a key-search node, sorted by (row, v):
-    v comes from the first cell, every cell splits by adjacency to v (zeros
-    first), and row is the one row of the upper triangle that v fixes."""
+    v comes from the first cell, less the vertices set in skip, every cell
+    splits by adjacency to v (zeros first), and row is the one row of the
+    upper triangle that v fixes."""
     head = cells[0]
     # interchangeable candidates (identical rows off their own columns)
     # produce identical subtrees; keep the first of each group
     cands: list[int] = []
     for v in head:
+        if skip >> v & 1:
+            continue
         for u in cands:
             mask = ~((1 << v) | (1 << u))
             if diag[v] == diag[u] and (rows[v] & mask) == (rows[u] & mask):
@@ -122,7 +126,8 @@ def _leaf(rows: tuple[int, ...], diag: list[int],
     return order, string
 
 
-def _min_lex_form(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _min_lex_form(rows: tuple[int, ...], auts: tuple[tuple[int, ...], ...] | None = None
+                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Minimal upper-triangle string of a symmetric bit matrix.
 
     rows[i] holds row i with column j at bit j. Returns (bits, perm) with
@@ -135,13 +140,23 @@ def _min_lex_form(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
     produced row) lands a near-minimal incumbent on the first descent.
     A discrete partition (every cell a singleton) has exactly one leaf
     below it, so its string is read off by _leaf and compared whole.
+
+    auts, when given, is a group of automorphisms as bitsets: bit j of
+    auts[v][w] is set when element j sends index v to w, and each auts[v]
+    partitions the group. A node's group H fixes its prefix pointwise (the
+    whole group at the root). Of each H-orbit in the head cell only the
+    least vertex is a child: the others have its row, so they come after
+    it, and their subtrees are images of its subtree, whose leaves come
+    earlier with the same strings. A child v recurses with H & auts[v][v].
+    So the first minimal leaf, and with it bits and perm, are those of the
+    search without auts.
     """
     k = len(rows)
     diag = [(rows[i] >> i) & 1 for i in range(k)]
     best: list[int] | None = None
     best_perm: tuple[int, ...] = ()
 
-    def dfs(fixed: list[int], cells: list[list[int]], built: list[int]) -> None:
+    def dfs(fixed: list[int], cells: list[list[int]], built: list[int], H: int) -> None:
         nonlocal best, best_perm
         if best is not None and built > best[:len(built)]:
             return
@@ -151,12 +166,22 @@ def _min_lex_form(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
             if best is None or leaf < best:
                 best, best_perm = leaf, tuple(fixed + order)
             return
-        for row, v, new_cells in _children(rows, diag, cells):
+        skip = 0  # the head vertices in the H-orbit of a smaller one
+        if H & (H - 1):  # more than the identity
+            head = cells[0]
+            for i, v in enumerate(head):
+                if not skip >> v & 1:
+                    moves = auts[v]
+                    for w in head[i + 1:]:
+                        if moves[w] & H:
+                            skip |= 1 << w
+        for row, v, new_cells in _children(rows, diag, cells, skip):
             fixed.append(v)
-            dfs(fixed, new_cells, built + row)
+            dfs(fixed, new_cells, built + row, H & auts[v][v] if H else 0)
             fixed.pop()
 
-    dfs([], [list(range(k))] if k else [], [])
+    # the bitsets of auts[0] are disjoint, so their sum is the group
+    dfs([], [list(range(k))] if k else [], [], sum(auts[0]) if auts else 0)
     if best is None:
         raise RuntimeError("canonical form search visited no leaf")
     return tuple(best), best_perm

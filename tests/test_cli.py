@@ -90,6 +90,23 @@ def test_equiv_negative_and_errors(capsys):
     assert run(["equiv", "3; 1,2,4", "3; 1,2,4", "--mode", "sideways"]) == 2
 
 
+def test_queries_search_keys_without_the_orthogonal_group(capsys, monkeypatch):
+    # only catalog keys are pruned by a stabilizer; keys and switching
+    # queries never tabulate O(n)
+    def refuse(n):
+        raise RuntimeError(f"a query tabulated O({n})")
+
+    monkeypatch.setattr(binframes.enumeration, "_moves", refuse)
+    F, H = "5; 18,26,22,29,19,15", "5; 23,11,29,14,26,10"
+    frame, other = binframes.parse_frame(F), binframes.parse_frame(H)
+    assert canonical_key(grammian(frame)) == canonical_key(grammian(other))
+    assert binframes.equivalence.switching_equivalent(frame, other) is not None
+    assert run(["gram", F]) == 0
+    assert out_lines(capsys)[-1] == f"key: {canonical_key(grammian(frame))}"
+    assert run(["equiv", F, H, "--mode", "switching"]) == 0
+    assert out_lines(capsys)[-1].startswith("pi: ")
+
+
 def test_complement_command(capsys):
     assert run(["complement", "3; 1,2,4", "--drop-zero"]) == 0
     assert out_lines(capsys) == ["3; 3,5,6,7"]

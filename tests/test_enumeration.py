@@ -13,7 +13,7 @@ from binframes.cli import run
 from binframes.enumeration import (CatalogRow, SearchConfig, SwitchingClass,
                                    _pool_size, catalog, catalog_lines,
                                    classify, enumerate_parseval, write_catalog)
-from binframes.equivalence import (canonical_key, complement,
+from binframes.equivalence import (_min_lex_form, canonical_key, complement,
                                    is_trivially_redundant,
                                    switching_equivalent)
 from binframes.frames import Frame, grammian, is_parseval
@@ -185,6 +185,57 @@ def test_orbit_generators_generate_the_orthogonal_group():
         assert len(group) == orthogonal_group_order(n), n
 
 
+def test_moves_tabulate_the_orthogonal_group():
+    # moves[x][y] holds the elements sending x to y: each row partitions the
+    # closure, which is all of O(n); every unitary fixes 0
+    for n in range(1, 6):
+        moves = enumeration._moves(n)
+        group = moves[0][0]
+        assert group.bit_count() == orthogonal_group_order(n), n
+        for row in moves:
+            assert sum(b.bit_count() for b in row) == group.bit_count()
+            assert functools.reduce(int.__or__, row) == group
+    with pytest.raises(RuntimeError):
+        enumeration._moves(6)
+
+
+def key_searches(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the (rows, auts) of every key search it runs
+    from the enumeration module."""
+    calls, real = [], enumeration._min_lex_form
+
+    def spy(rows, auts=None):
+        calls.append((rows, auts))
+        return real(rows, auts)
+
+    enumeration._min_lex_form = spy
+    try:
+        return fn(*args, **kwargs), calls
+    finally:
+        enumeration._min_lex_form = real
+
+
+def test_stabilizer_pruned_keys_equal_unpruned_keys():
+    # skipping the children that a class's stabilizer shows equivalent must
+    # keep bits and perm, also with the indices relabeled
+    rng = random.Random(28)
+    checked = 0
+    for n in (3, 4, 5):
+        for shortcut in (True, False):
+            config = SearchConfig(use_complement_shortcut=shortcut)
+            for rows, auts in key_searches(catalog, n, config=config)[1]:
+                k = len(rows)
+                assert auts is not None and len(auts) == k
+                assert _min_lex_form(rows, auts) == _min_lex_form(rows)
+                p = rng.sample(range(k), k)
+                rows_p = tuple(sum((rows[p[i]] >> p[j] & 1) << j for j in range(k))
+                               for i in range(k))
+                auts_p = tuple(tuple(auts[p[i]][p[j]] for j in range(k)) for i in range(k))
+                assert _min_lex_form(rows_p, auts_p) == _min_lex_form(rows_p)
+                checked += 1
+    assert checked == 2 * (2 + 8 + 312)
+
+
 @st.composite
 def coordinates(draw, min_n=1):
     """(n, a coset coordinate of Z_2^n), n <= 6: one Parseval subset."""
@@ -271,14 +322,18 @@ def test_reversed_word_order_is_lex_order(drawn):
 
 def test_member_count_times_automorphisms_is_group_order():
     # orbit-stabilizer: a class is an O(n)-orbit, and the stabilizer of a
-    # Parseval frame acts on it as the permutations fixing its Grammian
+    # Parseval frame acts on it as the permutations fixing its Grammian;
+    # the stabilizer that prunes the class's key search has that size too
     checked = 0
     for n in range(1, 6):
         order = orthogonal_group_order(n)
         for k in range(n, min(8, (1 << n) - 1) + 1):
-            for cls in classify(n, k):
+            classes, searches = key_searches(classify, n, k)
+            assert len(searches) == len(classes)
+            for cls, (_, auts) in zip(classes, searches):
                 aut = automorphism_count(grammian(cls.representative).to_lists())
                 assert cls.member_count * aut == order, (n, k, cls)
+                assert sum(auts[0]).bit_count() == aut, (n, k, cls)
                 checked += 1
     assert checked == 18  # 16 at n = 3..5, one each at n = 1, 2
 

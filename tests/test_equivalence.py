@@ -543,6 +543,7 @@ real_generators, real_walk = en._generators, en._walk
 en._generators = lambda n: real_generators(n)[:n - 1]
 results.append(raises(lambda: bf.classify(4, 4)))
 en._generators = real_generators
+en._moves.cache_clear()  # built from the swaps alone above
 en._walk = lambda n, k: real_walk(n, k)[1:] * 2
 results.append(raises(lambda: bf.classify(4, 4)))
 en._walk = lambda n, k: real_walk(n, k) * 2
@@ -560,6 +561,9 @@ cls = bf.classify(4, 4)[0]
 results.append(raises(lambda: en._complemented_classes(4, [cls, cls])))
 wrong = bf.SwitchingClass(cls.key, cls.representative, cls.member_count + 1)
 results.append(raises(lambda: en._complemented_classes(4, [wrong])))
+# a class key asked for with a wrong member count; the O(n) table past n = 5
+results.append(raises(lambda: en._class_key(cls.representative, cls.member_count + 1)))
+results.append(raises(lambda: en._moves(6)))
 # the weight table past n = 5; masks whose kernel has the wrong dimension
 # (uncached); a coset whose words all lack vector 1; a coset whose
 # coordinates are all off by one, so that every generator map is wrong
@@ -582,4 +586,4 @@ def test_internal_checks_raise_under_optimize(package_env):
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
                           capture_output=True, text=True, env=package_env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str([True] * 16)
+    assert proc.stdout.strip() == str([True] * 18)
