@@ -129,18 +129,16 @@ class _Coset(NamedTuple):
     """The Parseval subsets of Z_2^n as one coset of a binary code, n <= 6.
 
     A subset is a word of 2^n - 1 bits, bit v for vector v. S is linear in
-    the word, so the Parseval words are the particular word {e_1..e_n}
-    plus the kernel of S, punctured RM(n - 3, n) of dimension
-    d = 2^n - 1 - n(n+1)/2 (16 at n = 5, 42 at n = 6). Subset i < 2^d is
-    particular ^ basis[j] over the set bits j of i; tables are _byte_tables."""
+    the word, so the Parseval words are a particular word plus the kernel of
+    S, punctured RM(n - 3, n) of dimension d = 2^n - 1 - n(n+1)/2 (16 at
+    n = 5, 42 at n = 6). Subset i < 2^d is particular ^ basis[j] over the
+    set bits j of i; of two subsets of one size, the larger i is lex first
+    (_coset). Tables are _byte_tables."""
 
     basis: list[int]
     particular: int
     word: tuple[list[int], ...]   # coordinate -> word
     index: tuple[list[int], ...]  # coset word -> coordinate
-    # coordinate -> reversed word: of equal-size sets, A is lex first exactly
-    # when the lowest bit of A ^ B, the highest reversed, is in A
-    lex: tuple[list[int], ...]
     # i ^ flip is the complement of subset i: for n >= 3 the word of all
     # nonzero vectors is in the kernel, and flip is its coordinate
     flip: int
@@ -149,14 +147,17 @@ class _Coset(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _coset(n: int) -> _Coset:
-    """_Coset(n), by one elimination over the masks of _masks."""
+    """_Coset(n), by one elimination over the masks of _masks from the
+    highest vector down: the lowest vector of basis[j] descends with j and
+    is in no other basis word nor, once reduced, in particular, which makes
+    coordinate order lex order. Raises unless it is so."""
     full = (1 << n) - 1
     masks, ident = _masks(n)
     # a mask that reduces to zero gives a basis word of its own vector and
-    # pivot vectors only, so a coset word's coordinate gathers w ^ particular
+    # higher pivot vectors only, and its coordinate bit is gathered from the former
     pivots: dict[int, tuple[int, int]] = {}
     basis, gather = [], [0] * (full + 1)
-    for v in range(1, full + 1):
+    for v in range(full, 0, -1):
         S, word = masks[v], 1 << v
         while S:
             top = S.bit_length() - 1
@@ -170,12 +171,17 @@ def _coset(n: int) -> _Coset:
             basis.append(word)
     if len(basis) != full - n * (n + 1) // 2:
         raise RuntimeError(f"the kernel of S on Z_2^{n} has dimension {len(basis)}")
-    particular = sum(1 << (1 << i) for i in range(n))
-    index = _byte_tables(gather, sum(gather[1 << i] for i in range(n)))
-    lex = [int(f"{w:0{full + 1}b}"[::-1], 2) for w in [particular] + basis]
+    particular = sum(1 << (1 << i) for i in range(n))  # {e_1..e_n}
+    for word in basis:
+        if particular & word & -word:
+            particular ^= word
+    lows = [word & -word for word in basis]
+    if lows != sorted(lows, reverse=True) or any(
+            sum(1 for word in basis + [particular] if word & low) != 1 for low in lows):
+        raise RuntimeError(f"the coset basis of Z_2^{n} is not in echelon form")
+    index = _byte_tables(gather)
     flip = _apply(index, particular ^ ((1 << full + 1) - 2))
-    return _Coset(basis, particular, _byte_tables(basis, particular), index,
-                  _byte_tables(lex[1:], lex[0]), flip,
+    return _Coset(basis, particular, _byte_tables(basis, particular), index, flip,
                   _byte_tables(masks + [0] * (32 - len(masks)), ident))
 
 
@@ -190,21 +196,20 @@ def _weights(n: int) -> bytes:
 
 
 def _walk(n: int, k: int) -> list[int]:
-    """The Parseval k-subsets of Z_2^n, n <= 5, as coordinates in lex order:
-    those of weight k in _weights, each checked against S = I. Decoded,
-    they are the frames of _search."""
-    weights = _weights(n)
-    _, _, (w0, w1), _, (l0, l1), _, (s0, s1, s2, s3) = _coset(n)
-    by_key = {}
-    i = weights.find(k)
+    """The Parseval k-subsets of Z_2^n, n <= 5, as descending coordinates,
+    which is lex order: those of weight k in _weights, each checked against
+    S = I. Decoded, they are the frames of _search."""
+    weights, coset = _weights(n), _coset(n)
+    (w0, w1), (s0, s1, s2, s3) = coset.word, coset.smask
+    out = []
+    i = weights.rfind(k)
     while i >= 0:
-        lo, hi = i & 0xFF, i >> 8
-        w = w0[lo] ^ w1[hi]
+        w = w0[i & 0xFF] ^ w1[i >> 8]
         if s0[w & 0xFF] ^ s1[w >> 8 & 0xFF] ^ s2[w >> 16 & 0xFF] ^ s3[w >> 24]:
             raise RuntimeError(f"coset word {_encs(w)} of Z_2^{n} is not Parseval")
-        by_key[l0[lo] ^ l1[hi]] = i
-        i = weights.find(k, i + 1)
-    return [by_key[key] for key in sorted(by_key, reverse=True)]
+        out.append(i)
+        i = weights.rfind(k, 0, i)
+    return out
 
 
 def _word(encs: Iterable[int]) -> int:
@@ -433,20 +438,24 @@ def _sweep(n: int, start: int) -> list[int]:
 def _classes(n: int, k: int) -> list[tuple[int, CanonicalKey, list[int]]]:
     """The classes of the Parseval k-subsets: (least member, key, O(n)-orbit).
 
-    Candidates are read in lex order; the first that no earlier orbit
-    claims is the least of its class, whose orbit is the whole class. At
-    n = 6 only the subsets holding vector 1 are candidates: a Parseval frame
-    spans, so it holds an odd vector (the even ones span a hyperplane),
-    which O(6) moves to vector 1. Keys come from _class_key, pruned by the
-    least member's stabilizer at n <= 5. Raises when an orbit holds a
-    candidate that was not streamed, a stabilizer and its orbit do not
-    multiply to |O(n)|, two orbits share a key (too few generators) or the
-    orbits claim other than exactly the candidates streamed."""
+    Candidates are read in lex order, descending coordinates; the first that
+    no earlier orbit claims is the least of its class, whose orbit is the
+    whole class. At n = 6 only the subsets holding vector 1 are candidates:
+    a Parseval frame spans, so it holds an odd vector (the even ones span a
+    hyperplane), which O(6) moves to vector 1. Keys come from _class_key.
+    Raises when the n = 6 search's coordinates do not descend, an orbit
+    holds a candidate that was not streamed, a stabilizer and its orbit do
+    not multiply to |O(n)|, two orbits share a key (too few generators) or
+    the orbits claim other than exactly the candidates streamed."""
     _check_search(n, k)
     coset = _coset(n)
     coords = _walk(n, k) if n <= 5 else [_apply(coset.index, _word(e)) for e in _search(n, k, 1)]
-    # like the particular word, word(i) holds vector 1 when i meets evenly the basis words that do
-    ones = sum(1 << j for j, word in enumerate(coset.basis) if word & 2)
+    # the search shares only the masks with the coset: its order certifies the coset's
+    if n > 5 and any(a <= b for a, b in zip(coords, coords[1:])):
+        raise RuntimeError(f"the coordinates of the {k}-subsets of Z_2^{n} "
+                           f"holding vector 1 do not descend in lex order")
+    # at n = 6 vector 1 is the lowest vector of the last basis word: the top bit
+    top = 1 << len(coset.basis) >> 1
     unclaimed = set(coords)
     keys: set[CanonicalKey] = set()
     classes, held = [], 0
@@ -454,7 +463,7 @@ def _classes(n: int, k: int) -> list[tuple[int, CanonicalKey, list[int]]]:
         if i not in unclaimed:
             continue
         orbit = _sweep(n, i)  # _generators runs after the size check
-        claimed = orbit if n <= 5 else [m for m in orbit if not (m & ones).bit_count() & 1]
+        claimed = orbit if n <= 5 else [m for m in orbit if m & top]
         if not unclaimed.issuperset(claimed):
             raise RuntimeError(f"the O({n})-orbit of {_subset(n, i)} holds "
                                f"a subset that was not streamed")
@@ -473,10 +482,9 @@ def _classes(n: int, k: int) -> list[tuple[int, CanonicalKey, list[int]]]:
 
 def _keyed_encodings(n: int, k: int) -> Iterator[tuple[tuple[int, ...], CanonicalKey]]:
     """Every Parseval k-subset with its class key, in lex order: the members
-    of the class orbits, by descending lex key."""
-    classes, lex = _classes(n, k), _coset(n).lex  # sizes are refused before _coset
-    keyed = sorted([(_apply(lex, m), m, key) for _, key, orbit in classes for m in orbit])
-    return ((_subset(n, m), key) for _, m, key in reversed(keyed))
+    of the class orbits, by descending coordinate."""
+    keyed = sorted([(m, key) for _, key, orbit in _classes(n, k) for m in orbit], reverse=True)
+    return ((_subset(n, m), key) for m, key in keyed)
 
 
 def classify(n: int, k: int, *, workers: int = 1) -> list[SwitchingClass]:
@@ -510,8 +518,7 @@ def _complemented_classes(n: int, classes: Sequence[SwitchingClass]
         if len(orbit) != cls.member_count:
             raise RuntimeError(f"a class of {cls.member_count} has a complement "
                                f"orbit of {len(orbit)} in Z_2^{n}")
-        least = max(orbit, key=functools.partial(_apply, coset.lex))
-        rep = Frame.from_encodings(n, _subset(n, least))
+        rep = Frame.from_encodings(n, _subset(n, max(orbit)))
         out.append(SwitchingClass(_class_key(rep, len(orbit)), rep, len(orbit)))
     if len({c.key for c in out}) < len(out):
         raise RuntimeError("complements of two classes share a key")

@@ -4,8 +4,8 @@ Everything here works on unpacked list-of-lists (or plain combinations
 streams) and deliberately shares no code with the package: elimination,
 products and subset filters are re-derived from scratch so the two routes
 can disagree when one is wrong. The exceptions are switching_by_two_keys,
-min_lex_by_full_descent and match_by_full_descent: superseded routes of the
-package, kept to pin its keys and witnesses.
+min_lex_by_full_descent, match_by_full_descent and lex_key_by_reversed_word:
+superseded routes of the package, kept to pin its keys, witnesses and order.
 """
 
 from collections import Counter
@@ -414,6 +414,17 @@ def orbit_by_tuples(gens, encs):
                 seen.add(image)
                 orbit.append(image)
     return orbit
+
+
+def lex_key_by_reversed_word(word, n):
+    """The lex key of a subset word (bit v for vector v): its 2^n bits read
+    in reverse. Of two subsets of one size, the lex-first holds the lowest
+    vector where they differ, so its key is the larger.
+
+    The key that ordered coset coordinates before they were numbered in lex
+    order, kept as their reference.
+    """
+    return int(f"{word:0{1 << n}b}"[::-1], 2)
 
 
 def members(n):

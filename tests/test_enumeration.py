@@ -20,7 +20,8 @@ from binframes.frames import Frame, grammian, is_parseval
 from binframes.gf2 import BinMatrix, BinVector, is_unitary, mat_vec
 
 from oracles import (automorphism_count, classes_by_member_keys,
-                     is_parseval_naive, members, orbit_by_tuples,
+                     is_parseval_naive, lex_key_by_reversed_word, members,
+                     orbit_by_tuples,
                      orthogonal_group_order, parseval_subsets_bruteforce)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "golden",
@@ -306,18 +307,48 @@ def test_words_decode_to_their_encodings(sub):
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
     st.integers(0, (1 << len(enumeration._coset(n).basis)) - 1), min_size=2, max_size=40))))
 def test_reversed_word_order_is_lex_order(drawn):
-    # lex keys of coset coordinates against the tuples, within each size
+    # coordinates against the tuples within each size, and against the
+    # reversed words across sizes
     n, coords = drawn
-    lex = enumeration._coset(n).lex
-    by_size = {}
-    for i in coords:
-        encs = enumeration._subset(n, i)
-        by_size.setdefault(len(encs), []).append((enumeration._apply(lex, i), encs))
-    for group in by_size.values():
-        for ka, a in group:
-            for kb, b in group:
-                assert (ka > kb) == (a < b)
-                assert (ka == kb) == (a == b)
+    points = [(i, enumeration._subset(n, i)) for i in coords]
+    for a, sa in points:
+        for b, sb in points:
+            if len(sa) == len(sb):
+                assert (a > b) == (sa < sb)
+            ka, kb = (lex_key_by_reversed_word(enumeration._word(s), n) for s in (sa, sb))
+            assert (a > b) == (ka > kb) and (a == b) == (sa == sb)
+
+
+def test_reversed_word_key_ascends_over_every_coordinate():
+    for n in range(1, 6):
+        coset = enumeration._coset(n)
+        keys = [lex_key_by_reversed_word(enumeration._apply(coset.word, i), n)
+                for i in range(1 << len(coset.basis))]
+        assert all(a < b for a, b in zip(keys, keys[1:])), n
+    assert len(keys) == 1 << 16
+
+
+def test_coset_basis_is_in_echelon_form_from_the_low_end():
+    # basis[j]'s lowest vector descends with j and is in no other basis
+    # word nor the particular word, so it is coordinate bit j
+    for n in range(1, 7):
+        coset = enumeration._coset(n)
+        lows = [word & -word for word in coset.basis]
+        assert lows == sorted(set(lows), reverse=True), n
+        for j, low in enumerate(lows):
+            assert [word for word in coset.basis if word & low] == [coset.basis[j]]
+            assert not coset.particular & low
+            assert enumeration._apply(coset.index, coset.particular ^ coset.basis[j]) == 1 << j
+        assert enumeration._apply(coset.index, coset.particular) == 0
+        assert is_parseval_naive(enumeration._encs(coset.particular), n)
+
+
+def test_n6_subsets_hold_vector_one_by_the_top_coordinate_bit():
+    d = len(enumeration._coset(6).basis)
+    rng = random.Random(29)
+    for _ in range(2000):
+        i = rng.getrandbits(d)
+        assert (1 in enumeration._subset(6, i)) == bool(i >> d - 1 & 1), i
 
 
 def test_member_count_times_automorphisms_is_group_order():

@@ -519,6 +519,15 @@ def raises(fn):
         return True
     return False
 
+real_coset, real_generators = en._coset, en._generators
+
+def patch(name, value):
+    # the enumeration tables are cached from one another: drop them all, so
+    # that no check reads a table built under another patch
+    setattr(en, name, value)
+    for cached in (en._tables, real_coset, en._weights, real_generators, en._moves):
+        cached.cache_clear()
+
 F = bf.parse_frame("3; 3,5,6,7")
 results = [raises(lambda: bf.CanonicalKey.from_bits(2, (1,)))]
 real_is_unitary = eq.is_unitary
@@ -539,21 +548,23 @@ results.append(raises(lambda: bf.compute_dual(F)))
 en.is_unitary = lambda U: False
 results.append(raises(lambda: en._generators(3)))
 en.is_unitary = eq.is_unitary
-real_generators, real_walk = en._generators, en._walk
-en._generators = lambda n: real_generators(n)[:n - 1]
+real_walk = en._walk
+patch("_generators", lambda n: real_generators(n)[:n - 1])
 results.append(raises(lambda: bf.classify(4, 4)))
-en._generators = real_generators
-en._moves.cache_clear()  # built from the swaps alone above
+patch("_generators", real_generators)
 en._walk = lambda n, k: real_walk(n, k)[1:] * 2
 results.append(raises(lambda: bf.classify(4, 4)))
 en._walk = lambda n, k: real_walk(n, k) * 2
 results.append(raises(lambda: bf.classify(4, 4)))
 en._walk = real_walk
 # an n = 6 vector-1 search that loses its first subset, which the orbit of
-# the next one holds
+# the next one holds; one that streams its subsets in reverse, whose first
+# is not the least of its class
 real_search = en._search
 en._search = lambda n, k, first=None: real_search(n, k, first)[1:]
 results.append(raises(lambda: bf.classify(6, 6)))
+en._search = lambda n, k, first=None: real_search(n, k, first)[::-1]
+results.append(raises(lambda: bf.classify(6, 7)))
 en._search = real_search
 # complements of one class passed twice; a class whose member count is not
 # its complement's orbit size
@@ -564,20 +575,24 @@ results.append(raises(lambda: en._complemented_classes(4, [wrong])))
 # a class key asked for with a wrong member count; the O(n) table past n = 5
 results.append(raises(lambda: en._class_key(cls.representative, cls.member_count + 1)))
 results.append(raises(lambda: en._moves(6)))
-# the weight table past n = 5; masks whose kernel has the wrong dimension
-# (uncached); a coset whose words all lack vector 1; a coset whose
+# the weight table past n = 5; masks whose kernel has the wrong dimension;
+# an elimination run from the lowest vector up, whose basis words' lowest
+# vectors ascend; a coset whose words all lack vector 1; a coset whose
 # coordinates are all off by one, so that every generator map is wrong
 results.append(raises(lambda: en._weights(6)))
-real_masks, real_coset = en._masks, en._coset
-en._masks = lambda n: ([0] * (1 << n), 0)
-results.append(raises(lambda: en._coset.__wrapped__(3)))
-en._masks = real_masks
+real_masks = en._masks
+patch("_masks", lambda n: ([0] * (1 << n), 0))
+results.append(raises(lambda: en._coset(3)))
+patch("_masks", real_masks)
+patch("range", lambda *args: range(1, args[0] + 1) if args[1:] == (0, -1) else range(*args))
+results.append(raises(lambda: en._coset(4)))
+patch("range", range)
 coset = real_coset(4)
-en._coset = lambda n: coset._replace(word=([w ^ 0b10 for w in coset.word[0]], *coset.word[1:]))
+patch("_coset", lambda n: coset._replace(word=([w ^ 0b10 for w in coset.word[0]], *coset.word[1:])))
 results.append(raises(lambda: en._walk(4, 4)))
-en._coset = lambda n: coset._replace(index=([i ^ 1 for i in coset.index[0]], *coset.index[1:]))
-results.append(raises(lambda: en._generators.__wrapped__(4)))
-en._coset = real_coset
+patch("_coset", lambda n: coset._replace(index=([i ^ 1 for i in coset.index[0]], *coset.index[1:])))
+results.append(raises(lambda: en._generators(4)))
+patch("_coset", real_coset)
 print(results)
 """
 
@@ -586,4 +601,4 @@ def test_internal_checks_raise_under_optimize(package_env):
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
                           capture_output=True, text=True, env=package_env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str([True] * 18)
+    assert proc.stdout.strip() == str([True] * 20)
