@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .equivalence import CanonicalKey, _min_lex_form, canonical_key
+from .equivalence import CanonicalKey, _min_lex_form
 from .frames import Frame, grammian
 from .gf2 import BinMatrix, is_unitary
 
@@ -249,8 +249,9 @@ def _check_search(n: int, k: int) -> None:
             "searches cover every k up to n = 5 and k <= 9 at n = 6")
 
 
-def _search(n: int, k: int, first: Optional[int] = None) -> list[tuple[int, ...]]:
-    """Depth-first search over ascending encodings, maintaining partial S.
+def _search(n: int, k: int, first: int) -> list[tuple[int, ...]]:
+    """Depth-first search over ascending encodings from vector first on,
+    maintaining partial S: the Parseval k-subsets whose least vector is first.
 
     With more than TAIL slots left, prune when the deficit S + I has a bit
     that no remaining candidate can flip (outside cover[start]). With r <=
@@ -261,7 +262,7 @@ def _search(n: int, k: int, first: Optional[int] = None) -> list[tuple[int, ...]
     masks, ident, cover, tails = _tables(n)
     full = (1 << n) - 1
     out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
+    chosen = [first]
 
     def dfs(start: int, S: int) -> None:
         r = k - len(chosen)
@@ -278,11 +279,7 @@ def _search(n: int, k: int, first: Optional[int] = None) -> list[tuple[int, ...]
             dfs(w + 1, S ^ masks[w])
             chosen.pop()
 
-    if first is None:
-        dfs(1, 0)
-    else:
-        chosen.append(first)
-        dfs(first + 1, masks[first])
+    dfs(first + 1, masks[first])
     return out
 
 
@@ -305,11 +302,10 @@ def _iter_encodings(n: int, k: int, workers: int = 1) -> Iterator[tuple[int, ...
     the same for any worker count.
     """
     _check_search(n, k)
-    full = (1 << n) - 1
+    tasks = [(n, k, first) for first in range(1, (1 << n) - k + 1)]
     if workers <= 1:
-        yield from _search(n, k)
+        yield from itertools.chain.from_iterable(map(_subtree_task, tasks))
         return
-    tasks = [(n, k, first) for first in range(1, full - k + 2)]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     size = _pool_size(workers, len(tasks), cpus)
@@ -371,12 +367,12 @@ def _generators(n: int) -> tuple[tuple[tuple[int, ...], tuple[list[int], ...]], 
 
 @functools.lru_cache(maxsize=None)
 def _moves(n: int) -> tuple[tuple[int, ...], ...]:
-    """O(n) as bitsets, n <= 5: bit j of moves[x][y] is set when element j
-    sends vector x to y. The elements are the closure of _generators'
-    vector tables, composed by bytes.translate, and moves[0][0], since
-    every unitary fixes 0, is the whole group (720 elements at n = 5;
-    23,040 at n = 6)."""
-    if n > 5:
+    """O(n) as bitsets: bit j of moves[x][y] is set when element j sends
+    vector x to y. The elements are the closure of _generators' vector
+    tables, composed by bytes.translate, and moves[0][0], since every
+    unitary fixes 0, is the whole group (720 elements at n = 5, 23,040 at
+    n = 6; O(7) would take about 3 GB)."""
+    if n > 6:
         raise RuntimeError(f"O({n}) is too large to tabulate")
     pad = bytes(256 - (1 << n))
     tables = [bytes(g) + pad for g, _ in _generators(n)]
@@ -388,23 +384,22 @@ def _moves(n: int) -> tuple[tuple[int, ...], ...]:
             if h not in seen:
                 seen.add(h)
                 elements.append(h)
-    moves = [[0] * (1 << n) for _ in range(1 << n)]
-    for j, g in enumerate(elements):
-        for x, y in enumerate(g):
-            moves[x][y] |= 1 << j
-    return tuple(map(tuple, moves))
+    moves = []
+    for x in range(1 << n):  # bits set in place: an int |= would copy per bit
+        row = [bytearray((len(elements) + 7) // 8) for _ in range(1 << n)]
+        for j, g in enumerate(elements):
+            row[g[x]][j >> 3] |= 1 << (j & 7)
+        moves.append(tuple(int.from_bytes(b, "little") for b in row))
+    return tuple(moves)
 
 
 def _class_key(rep: Frame, members: int) -> CanonicalKey:
     """The canonical key of a class of members subsets with least member rep.
 
-    For n <= 5 the key search is pruned by rep's stabilizer Stab in O(n),
-    read from _moves (_min_lex_form's auts), and raises unless
-    |Stab| * members = |O(n)|, as orbit-stabilizer requires. At n = 6 it
-    is canonical_key's search."""
+    The key search is pruned by rep's stabilizer Stab in O(n), read from
+    _moves (_min_lex_form's auts), and raises unless |Stab| * members =
+    |O(n)|, as orbit-stabilizer requires."""
     n, encs = rep.dim, rep.encodings
-    if n > 5:
-        return canonical_key(grammian(rep))
     moves = _moves(n)
     stab = moves[0][0]
     for x in encs:  # the elements sending every vector of rep into rep
@@ -442,11 +437,12 @@ def _classes(n: int, k: int) -> list[tuple[int, CanonicalKey, list[int]]]:
     no earlier orbit claims is the least of its class, whose orbit is the
     whole class. At n = 6 only the subsets holding vector 1 are candidates:
     a Parseval frame spans, so it holds an odd vector (the even ones span a
-    hyperplane), which O(6) moves to vector 1. Keys come from _class_key.
-    Raises when the n = 6 search's coordinates do not descend, an orbit
-    holds a candidate that was not streamed, a stabilizer and its orbit do
-    not multiply to |O(n)|, two orbits share a key (too few generators) or
-    the orbits claim other than exactly the candidates streamed."""
+    hyperplane), which O(6) moves to vector 1. Keys come from _class_key,
+    given the whole orbit's size. Raises when the n = 6 search's
+    coordinates do not descend, an orbit holds a candidate that was not
+    streamed, a stabilizer and its orbit do not multiply to |O(n)|, two
+    orbits share a key (too few generators) or the orbits claim other than
+    exactly the candidates streamed."""
     _check_search(n, k)
     coset = _coset(n)
     coords = _walk(n, k) if n <= 5 else [_apply(coset.index, _word(e)) for e in _search(n, k, 1)]
@@ -469,7 +465,7 @@ def _classes(n: int, k: int) -> list[tuple[int, CanonicalKey, list[int]]]:
                                f"a subset that was not streamed")
         unclaimed.difference_update(claimed)
         held += len(claimed)
-        key = _class_key(Frame.from_encodings(n, _subset(n, i)), len(claimed))
+        key = _class_key(Frame.from_encodings(n, _subset(n, i)), len(orbit))
         if key in keys:
             raise RuntimeError(f"two O({n})-orbits share key {key}")
         keys.add(key)

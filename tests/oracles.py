@@ -9,6 +9,7 @@ superseded routes of the package, kept to pin its keys, witnesses and order.
 """
 
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
 
@@ -362,16 +363,18 @@ def orthogonal_group_order(n):
     """|O(n)| as the number of ordered orthonormal bases of Z_2^n.
 
     A unitary is fixed by its columns, which are exactly such a basis:
-    odd-weight vectors with pairwise even overlap.
+    odd-weight vectors with pairwise even overlap. The ordered completions
+    of a partial basis depend only on its set, so each set is counted once.
     """
     odd = [v for v in range(1, 1 << n) if bin(v).count("1") % 2]
 
+    @lru_cache(maxsize=None)
     def extend(basis):
         if len(basis) == n:
             return 1
-        return sum(extend(basis + [v]) for v in odd
+        return sum(extend(basis | {v}) for v in odd
                    if all(bin(v & u).count("1") % 2 == 0 for u in basis))
-    return extend([])
+    return extend(frozenset())
 
 
 def automorphism_count(G):

@@ -85,9 +85,9 @@ def test_coset_walk_equals_search():
 
     for n in (1, 2, 3, 4):
         for k in range(n, 1 << n):
-            assert walked(n, k) == enumeration._search(n, k), (n, k)
+            assert walked(n, k) == list(enumeration._iter_encodings(n, k)), (n, k)
     for k in range(5, 10):
-        assert walked(5, k) == enumeration._search(5, k), (5, k)
+        assert walked(5, k) == list(enumeration._iter_encodings(5, k)), (5, k)
 
 
 def test_coset_dimension_and_n5_bucket_sizes():
@@ -186,18 +186,25 @@ def test_orbit_generators_generate_the_orthogonal_group():
         assert len(group) == orthogonal_group_order(n), n
 
 
-def test_moves_tabulate_the_orthogonal_group():
+def test_moves_tabulate_the_orthogonal_group(monkeypatch):
     # moves[x][y] holds the elements sending x to y: each row partitions the
     # closure, which is all of O(n); every unitary fixes 0
-    for n in range(1, 6):
+    for n in range(1, 7):
         moves = enumeration._moves(n)
         group = moves[0][0]
         assert group.bit_count() == orthogonal_group_order(n), n
         for row in moves:
             assert sum(b.bit_count() for b in row) == group.bit_count()
             assert functools.reduce(int.__or__, row) == group
+    assert group.bit_count() == 23040
+
+    def build(n):
+        raise AssertionError(f"_generators({n}) ran before the size check")
+
+    # O(7), 1,451,520 elements, is refused before anything is built
+    monkeypatch.setattr(enumeration, "_generators", build)
     with pytest.raises(RuntimeError):
-        enumeration._moves(6)
+        enumeration._moves(7)
 
 
 def key_searches(fn, *args, **kwargs):
@@ -216,25 +223,40 @@ def key_searches(fn, *args, **kwargs):
         enumeration._min_lex_form = real
 
 
+@functools.lru_cache(maxsize=None)
+def keyed_classes(n, k):
+    """classify(n, k) and the (rows, auts) of its key searches."""
+    classes, searches = key_searches(classify, n, k)
+    return tuple(classes), tuple(searches)
+
+
 def test_stabilizer_pruned_keys_equal_unpruned_keys():
     # skipping the children that a class's stabilizer shows equivalent must
     # keep bits and perm, also with the indices relabeled
     rng = random.Random(28)
     checked = 0
+    searches = []
     for n in (3, 4, 5):
         for shortcut in (True, False):
             config = SearchConfig(use_complement_shortcut=shortcut)
-            for rows, auts in key_searches(catalog, n, config=config)[1]:
-                k = len(rows)
-                assert auts is not None and len(auts) == k
-                assert _min_lex_form(rows, auts) == _min_lex_form(rows)
-                p = rng.sample(range(k), k)
-                rows_p = tuple(sum((rows[p[i]] >> p[j] & 1) << j for j in range(k))
-                               for i in range(k))
-                auts_p = tuple(tuple(auts[p[i]][p[j]] for j in range(k)) for i in range(k))
-                assert _min_lex_form(rows_p, auts_p) == _min_lex_form(rows_p)
-                checked += 1
-    assert checked == 2 * (2 + 8 + 312)
+            searches += key_searches(catalog, n, config=config)[1]
+    # at n = 6, those of catalog(6, config=SearchConfig(k_min=54)): the
+    # classes at k = 6..9, then their complements at k = 54..57
+    for k in range(6, 10):
+        classes, small = keyed_classes(6, k)
+        searches += small
+        searches += key_searches(enumeration._complemented_classes, 6, classes)[1]
+    for rows, auts in searches:
+        k = len(rows)
+        assert auts is not None and len(auts) == k
+        assert _min_lex_form(rows, auts) == _min_lex_form(rows)
+        p = rng.sample(range(k), k)
+        rows_p = tuple(sum((rows[p[i]] >> p[j] & 1) << j for j in range(k))
+                       for i in range(k))
+        auts_p = tuple(tuple(auts[p[i]][p[j]] for j in range(k)) for i in range(k))
+        assert _min_lex_form(rows_p, auts_p) == _min_lex_form(rows_p)
+        checked += 1
+    assert checked == 2 * (2 + 8 + 312) + 2 * 19
 
 
 @st.composite
@@ -356,17 +378,17 @@ def test_member_count_times_automorphisms_is_group_order():
     # Parseval frame acts on it as the permutations fixing its Grammian;
     # the stabilizer that prunes the class's key search has that size too
     checked = 0
-    for n in range(1, 6):
+    sizes = [(n, k) for n in range(1, 6) for k in range(n, min(8, (1 << n) - 1) + 1)]
+    for n, k in sizes + [(6, k) for k in range(6, 10)]:
         order = orthogonal_group_order(n)
-        for k in range(n, min(8, (1 << n) - 1) + 1):
-            classes, searches = key_searches(classify, n, k)
-            assert len(searches) == len(classes)
-            for cls, (_, auts) in zip(classes, searches):
-                aut = automorphism_count(grammian(cls.representative).to_lists())
-                assert cls.member_count * aut == order, (n, k, cls)
-                assert sum(auts[0]).bit_count() == aut, (n, k, cls)
-                checked += 1
-    assert checked == 18  # 16 at n = 3..5, one each at n = 1, 2
+        classes, searches = keyed_classes(n, k)
+        assert len(searches) == len(classes)
+        for cls, (_, auts) in zip(classes, searches):
+            aut = automorphism_count(grammian(cls.representative).to_lists())
+            assert cls.member_count * aut == order, (n, k, cls)
+            assert sum(auts[0]).bit_count() == aut, (n, k, cls)
+            checked += 1
+    assert checked == 18 + 19  # 16 at n = 3..5, one each at n = 1, 2; 19 at n = 6
 
 
 def test_classify_equals_per_member_key_grouping():
@@ -534,12 +556,7 @@ def test_member_counts_equal_character_sums():
     assert [six[k] for k in range(6, 10)] == [32, 256, 1856, 11360]
     assert sum(six.values()) == 1 << 42
     for k in range(6, 10):
-        assert sum(c.member_count for c in classify_6(k)) == six[k], k
-
-
-@functools.lru_cache(maxsize=None)
-def classify_6(k):
-    return tuple(classify(6, k))
+        assert sum(c.member_count for c in keyed_classes(6, k)[0]) == six[k], k
 
 
 def test_odd_weight_vectors_and_representatives_meet_vector_1():
@@ -567,7 +584,7 @@ def test_odd_weight_vectors_and_representatives_meet_vector_1():
               if not line.split("\t")[2].startswith("1,")]
     assert misses == ["6", "7", "10", "11"]  # one class each
     for k in range(6, 10):
-        assert all(c.representative.encodings[0] == 1 for c in classify_6(k)), k
+        assert all(c.representative.encodings[0] == 1 for c in keyed_classes(6, k)[0]), k
 
 
 def test_n6_class_routes_search_only_the_vector_1_subtree(monkeypatch, capsys):
@@ -576,7 +593,7 @@ def test_n6_class_routes_search_only_the_vector_1_subtree(monkeypatch, capsys):
     firsts = []
     real_search = enumeration._search
 
-    def logged(n, k, first=None):
+    def logged(n, k, first):
         firsts.append(first)
         return real_search(n, k, first)
 

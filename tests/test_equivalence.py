@@ -561,9 +561,9 @@ en._walk = real_walk
 # the next one holds; one that streams its subsets in reverse, whose first
 # is not the least of its class
 real_search = en._search
-en._search = lambda n, k, first=None: real_search(n, k, first)[1:]
+en._search = lambda n, k, first: real_search(n, k, first)[1:]
 results.append(raises(lambda: bf.classify(6, 6)))
-en._search = lambda n, k, first=None: real_search(n, k, first)[::-1]
+en._search = lambda n, k, first: real_search(n, k, first)[::-1]
 results.append(raises(lambda: bf.classify(6, 7)))
 en._search = real_search
 # complements of one class passed twice; a class whose member count is not
@@ -572,9 +572,12 @@ cls = bf.classify(4, 4)[0]
 results.append(raises(lambda: en._complemented_classes(4, [cls, cls])))
 wrong = bf.SwitchingClass(cls.key, cls.representative, cls.member_count + 1)
 results.append(raises(lambda: en._complemented_classes(4, [wrong])))
-# a class key asked for with a wrong member count; the O(n) table past n = 5
+# class keys asked for with a wrong member count, at n = 4 and n = 6; the
+# O(n) table past n = 6
 results.append(raises(lambda: en._class_key(cls.representative, cls.member_count + 1)))
-results.append(raises(lambda: en._moves(6)))
+cls6 = bf.classify(6, 6)[0]
+results.append(raises(lambda: en._class_key(cls6.representative, cls6.member_count + 1)))
+results.append(raises(lambda: en._moves(7)))
 # the weight table past n = 5; masks whose kernel has the wrong dimension;
 # an elimination run from the lowest vector up, whose basis words' lowest
 # vectors ascend; a coset whose words all lack vector 1; a coset whose
@@ -601,4 +604,4 @@ def test_internal_checks_raise_under_optimize(package_env):
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
                           capture_output=True, text=True, env=package_env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str([True] * 20)
+    assert proc.stdout.strip() == str([True] * 21)
